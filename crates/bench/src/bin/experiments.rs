@@ -20,9 +20,9 @@
 //! though the committed baselines were produced in release mode on other
 //! hardware.
 //!
-//! `modular` measures the three-stage modular pipeline on the paper-scale
+//! `modular` measures the two-stage modular pipeline on the paper-scale
 //! `wan-large` fixture (a 42-device fixture under `--quick`): an exact-only
-//! sweep vs `--modular --abstraction full`, checking the verdicts agree,
+//! sweep vs `--modular`, checking the verdicts agree,
 //! and writes `BENCH_modular.json` with the proved/refined split and both
 //! `bdd.ops` totals.
 //!
@@ -34,7 +34,7 @@
 //! `faults` arms a seeded fault-injection plan, drives quarantined sweeps
 //! at several thread counts, checks the quarantined set is thread-count
 //! invariant, and writes `BENCH_faults.json`. `modular` benchmarks the
-//! three-stage modular pipeline against the exact-only sweep and writes
+//! two-stage modular pipeline against the exact-only sweep and writes
 //! `BENCH_modular.json`. `serve` binds the resident daemon on an ephemeral
 //! port, fires a seeded request mix from 8 concurrent in-process clients
 //! (cache-hit `reach`, fresh-simulation `reach k=2`, hostile over-budget
@@ -53,8 +53,7 @@ use hoyan_baselines::{BatfishLike, MinesweeperLike, PlanktonLike};
 use hoyan_bench::{fmt_dur, Cdf};
 use hoyan_config::ConfigSnapshot;
 use hoyan_core::{
-    packet_reach, AbstractionMode, NetworkModel, StreamedFamily, SweepOptions, SweepSchedule,
-    Verifier,
+    packet_reach, NetworkModel, StreamedFamily, SweepOptions, SweepSchedule, Verifier,
 };
 use hoyan_device::{Packet, VsbProfile};
 use hoyan_nettypes::{Ipv4Prefix, NodeId};
@@ -1022,9 +1021,8 @@ fn faults(quick: bool) {
 
 // ------------------------------------------------------- Modular pipeline
 
-/// Modular-pipeline benchmark: the three-stage sweep (partition → abstract
-/// first pass → exact fallback) vs the monolithic exact-only sweep on the
-/// paper-scale `wan-large` fixture (a 42-device fixture under `--quick`).
+/// Modular-pipeline benchmark: the two-stage sweep (abstract pass → exact
+/// fallback) vs the monolithic exact-only sweep on the paper-scale `wan-large` fixture (a 42-device fixture under `--quick`).
 /// Asserts the two sweeps agree on every verdict, prints the
 /// proved/refined split, and writes `BENCH_modular.json` carrying the full
 /// metrics snapshot of the modular sweep plus a `summary` block with both
@@ -1072,12 +1070,10 @@ fn modular(quick: bool) {
         exact.reports.len()
     );
 
-    // Window 2: the modular sweep with the full abstraction (proved
-    // families skip the exact stage) — this is the snapshot the baseline
-    // carries.
+    // Window 2: the modular sweep (proved families skip the exact stage) —
+    // this is the snapshot the baseline carries.
     let opts = SweepOptions {
         modular: true,
-        abstraction: AbstractionMode::Full,
         ..SweepOptions::default()
     };
     hoyan_obs::reset_metrics();
@@ -1243,7 +1239,6 @@ fn wan_sweep(quick: bool) {
     // first pass plus warm chaining must stay under the round-robin bill.
     let mod_opts = SweepOptions {
         modular: true,
-        abstraction: AbstractionMode::Full,
         schedule: SweepSchedule::Deps,
         ..SweepOptions::default()
     };

@@ -85,20 +85,20 @@ fn conn(a: u32, b: u32) -> Req {
 /// with its topology condition dropped. All attribute fields mirror
 /// [`crate::propagate::Entry`] exactly.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct AbsState {
+struct AbsState {
     /// How the route entered the holding device.
-    pub(crate) learned: LearnedFrom,
+    learned: LearnedFrom,
     /// Exact attributes (the device model's own ingress output).
-    pub(crate) attrs: RouteAttrs,
+    attrs: RouteAttrs,
     /// BGP next hop (`None` = the holder originated the route).
-    pub(crate) next_hop: Option<NodeId>,
+    next_hop: Option<NodeId>,
     /// iBGP reflection hops taken (cluster-list proxy).
-    pub(crate) ibgp_hops: u32,
+    ibgp_hops: u32,
     /// Advertising peer (`None` for local seeds).
-    pub(crate) from: Option<NodeId>,
+    from: Option<NodeId>,
     /// Every device on the derivation path, including the holder
     /// (mirrors `Entry::path` as a set — loop prevention).
-    pub(crate) nodes: BTreeSet<u32>,
+    nodes: BTreeSet<u32>,
     /// Completed requirement items of the derivation.
     reqs: BTreeSet<Req>,
     /// Origin of the currently open iBGP run, if any.
@@ -177,22 +177,22 @@ fn shadows(
 }
 
 /// The result of pushing a sender's abstract states over one session.
-pub(crate) struct EdgeTransfer {
+struct EdgeTransfer {
     /// States the receiver gains (over-approximation side).
-    pub(crate) outputs: Vec<AbsState>,
+    outputs: Vec<AbsState>,
     /// At least one state could be delivered.
-    pub(crate) possible: bool,
+    possible: bool,
     /// Delivery is guaranteed whenever the sender is reached and the
     /// session is alive: every sender state either definitely survives
     /// the full advertise → egress → ingress chain, or already carries
     /// the receiver on its path (loop-prevention exemption — the
     /// receiver then holds the covering ancestor entry).
-    pub(crate) guaranteed: bool,
+    guaranteed: bool,
 }
 
 /// Mirrors one `emit` + `deliver` round of the exact engine for every
 /// abstract state at `u`, over session `s`.
-pub(crate) fn edge_transfer(
+fn edge_transfer(
     net: &NetworkModel,
     u: NodeId,
     s: &BgpSession,
@@ -285,7 +285,7 @@ pub(crate) fn edge_transfer(
 
 /// The local seed states for `prefix`, mirroring the exact engine's
 /// seeding (network statements and redistributed statics).
-pub(crate) fn seed_states(net: &NetworkModel, prefix: Ipv4Prefix) -> Vec<(NodeId, AbsState)> {
+fn seed_states(net: &NetworkModel, prefix: Ipv4Prefix) -> Vec<(NodeId, AbsState)> {
     let mut seeds = Vec::new();
     for n in net.topology.nodes() {
         let dev = net.device(n);
@@ -314,15 +314,10 @@ pub(crate) fn seed_states(net: &NetworkModel, prefix: Ipv4Prefix) -> Vec<(NodeId
     seeds
 }
 
-/// Runs the OA closure for `prefix` over the session graph (restricted to
-/// `edge_allowed` edges), returning the per-node abstract state sets, or
-/// `None` when a node blows past [`MAX_STATES_PER_NODE`].
-pub(crate) fn oa_closure(
-    net: &NetworkModel,
-    prefix: Ipv4Prefix,
-    extra_seeds: &[(NodeId, AbsState)],
-    edge_allowed: impl Fn(NodeId, &BgpSession) -> bool,
-) -> Option<Vec<Vec<AbsState>>> {
+/// Runs the OA closure for `prefix` over the session graph, returning the
+/// per-node abstract state sets, or `None` when a node blows past
+/// [`MAX_STATES_PER_NODE`].
+fn oa_closure(net: &NetworkModel, prefix: Ipv4Prefix) -> Option<Vec<Vec<AbsState>>> {
     let n = net.topology.node_count();
     let igp_dist: Vec<Vec<Option<u64>>> = net
         .topology
@@ -332,19 +327,13 @@ pub(crate) fn oa_closure(
     let router_id = |from: Option<NodeId>| from.map_or(0, |f| net.device(f).config.router_id);
     let mut states: Vec<Vec<AbsState>> = vec![Vec::new(); n];
     let mut dirty: BTreeSet<u32> = BTreeSet::new();
-    for (node, st) in seed_states(net, prefix)
-        .into_iter()
-        .chain(extra_seeds.iter().cloned())
-    {
+    for (node, st) in seed_states(net, prefix) {
         states[node.0 as usize].push(st);
         dirty.insert(node.0);
     }
     while let Some(u) = dirty.pop_first() {
         let u = NodeId(u);
         for s in net.sessions_of(u) {
-            if !edge_allowed(u, s) {
-                continue;
-            }
             let transfer = edge_transfer(net, u, s, prefix, &states[u.0 as usize]);
             let v = s.peer;
             let mut changed = false;
@@ -376,28 +365,17 @@ pub(crate) fn oa_closure(
     Some(states)
 }
 
-/// Where the abstract pass reads iBGP session conditions from.
-pub enum SessionConds<'a> {
-    /// The sweep's shared base arena (PR 6): the same conditions the
-    /// exact simulation would attach, so both stages price alike.
-    Base(&'a AttachedBase),
-    /// Treat every iBGP session as unconditionally alive — the
-    /// region-local semantics used when verifying a module against
-    /// neighbor summaries.
-    AssumeUp,
-}
-
-pub(crate) struct CondEdge {
-    pub(crate) u: u32,
-    pub(crate) v: u32,
-    pub(crate) cond: Bdd,
-    pub(crate) guaranteed: bool,
+struct CondEdge {
+    u: u32,
+    v: u32,
+    cond: Bdd,
+    guaranteed: bool,
 }
 
 /// Gauss–Seidel reachability fixpoint: `val[v] ∨= val[u] ∧ cond(u→v)`.
 /// Returns `Ok(None)` if the round cap is hit (the flow is monotone so
 /// this shouldn't happen; the cap guards non-termination regardless).
-pub(crate) fn bdd_fixpoint(
+fn bdd_fixpoint(
     mgr: &mut BddManager,
     n: usize,
     seeds: &[NodeId],
@@ -472,9 +450,12 @@ fn aggregates_interact(net: &NetworkModel, prefix: Ipv4Prefix) -> bool {
 /// simulation. Sound within the `≤ k`-failure ball: `Proved` scope and
 /// fragile sets are byte-identical to what the exact pass would report;
 /// `Inconclusive` means "run the exact pass", never "the check fails".
+/// iBGP session conditions come from the sweep's shared base, attached to
+/// `mgr`: the same conditions the exact simulation uses, so both stages
+/// price sessions alike.
 pub fn prove_family(
     net: &NetworkModel,
-    sessions: SessionConds<'_>,
+    base: &AttachedBase,
     mgr: &mut BddManager,
     family: &[Ipv4Prefix],
     k: u32,
@@ -485,7 +466,7 @@ pub fn prove_family(
         if aggregates_interact(net, prefix) {
             return Ok(AbstractOutcome::Inconclusive("aggregation in play"));
         }
-        let Some(states) = oa_closure(net, prefix, &[], |_, _| true) else {
+        let Some(states) = oa_closure(net, prefix) else {
             return Ok(AbstractOutcome::Inconclusive("abstract state blow-up"));
         };
         let seeds: Vec<NodeId> = net
@@ -507,25 +488,22 @@ pub fn prove_family(
                             return Ok(AbstractOutcome::Inconclusive("linkless ebgp session"))
                         }
                     },
-                    SessionKind::Ibgp => match &sessions {
-                        SessionConds::AssumeUp => Bdd::TRUE,
-                        SessionConds::Base(base) => {
-                            let key = if u.0 < s.peer.0 {
-                                (u.0, s.peer.0)
-                            } else {
-                                (s.peer.0, u.0)
-                            };
-                            match base.session(key) {
-                                Some(c) => c,
-                                None if !net.runs_isis(u) || !net.runs_isis(s.peer) => Bdd::TRUE,
-                                None => {
-                                    return Ok(AbstractOutcome::Inconclusive(
-                                        "missing session condition",
-                                    ))
-                                }
+                    SessionKind::Ibgp => {
+                        let key = if u.0 < s.peer.0 {
+                            (u.0, s.peer.0)
+                        } else {
+                            (s.peer.0, u.0)
+                        };
+                        match base.session(key) {
+                            Some(c) => c,
+                            None if !net.runs_isis(u) || !net.runs_isis(s.peer) => Bdd::TRUE,
+                            None => {
+                                return Ok(AbstractOutcome::Inconclusive(
+                                    "missing session condition",
+                                ))
                             }
                         }
-                    },
+                    }
                 };
                 edges.push(CondEdge {
                     u: u.0,
@@ -594,6 +572,8 @@ pub fn prove_family(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isis::IsisDb;
+    use crate::propagate::SharedBase;
     use hoyan_config::parse_config;
     use hoyan_device::VsbProfile;
     use hoyan_nettypes::pfx;
@@ -603,12 +583,16 @@ mod tests {
         NetworkModel::from_configs(configs, VsbProfile::ground_truth).unwrap()
     }
 
+    /// Proves `10.0.0.0/24` the way a sweep does: against a shared base
+    /// built from the fixture's IS-IS database and attached to `mgr`.
     fn prove(
         net: &NetworkModel,
         mgr: &mut BddManager,
         k: u32,
     ) -> Result<AbstractOutcome, BudgetBreach> {
-        prove_family(net, SessionConds::AssumeUp, mgr, &[pfx("10.0.0.0/24")], k)
+        let isis = IsisDb::build(net, Some(3)).expect("IS-IS converges");
+        let base = SharedBase::build(net, Some(&isis)).attach(mgr);
+        prove_family(net, &base, mgr, &[pfx("10.0.0.0/24")], k)
     }
 
     /// A 3-node eBGP chain with plain policies settles: UA == OB, and the
@@ -689,7 +673,7 @@ mod tests {
                 " neighbor PE route-reflector-client\n neighbor CR1 remote-as 64500\n",
             ),
         ]);
-        let states = oa_closure(&net, pfx("10.0.0.0/24"), &[], |_, _| true).expect("no blow-up");
+        let states = oa_closure(&net, pfx("10.0.0.0/24")).expect("no blow-up");
         let cr1 = net.topology.node("CR1").expect("CR1 exists");
         // Shadow discard keeps exactly one state at the reflector: the
         // direct client copy (the re-reflected one is dominated).

@@ -22,13 +22,12 @@ pub mod network;
 pub mod packet;
 pub mod propagate;
 pub mod racing;
-pub mod region;
 pub mod serve;
 pub mod snapshot;
 pub mod topology;
 pub mod verify;
 
-pub use abstract_sim::{prove_family, AbstractOutcome, PrefixProof, SessionConds};
+pub use abstract_sim::{prove_family, AbstractOutcome, PrefixProof};
 pub use fib::{fib_rules_for, is_gateway, FibAction, FibRule};
 pub use isis::{IsisDb, IsisHop};
 pub use network::{link_order, BgpSession, NetworkModel};
@@ -38,9 +37,6 @@ pub use propagate::{
     Simulation, LOCAL_WEIGHT,
 };
 pub use racing::{racing_check, RacingReport};
-pub use region::{
-    summarize_regions, verify_region, RegionMap, RegionScope, RegionSummary, SummaryEntry,
-};
 pub use serve::{render_reach_response, ServeError, ServeOptions, ServeSummary, Server};
 pub use snapshot::{
     classify_family, CachedFamily, CachedPrefixReport, CompiledNetwork, DirtyReason, FamilyCache,
@@ -48,7 +44,7 @@ pub use snapshot::{
 };
 pub use topology::{Topology, TopologyError};
 pub use verify::{
-    AbstractionMode, EquivalenceReport, FamilyBudget, FamilyCost, FamilyOutcome, FamilyProvenance,
-    PipelineStage, PrefixReport, QuarantinedFamily, ReachReport, ReverifyOutcome, StreamSummary,
-    StreamedFamily, SweepOptions, SweepReport, SweepSchedule, Verifier, VerifierError,
+    EquivalenceReport, FamilyBudget, FamilyCost, FamilyOutcome, FamilyProvenance, PrefixReport,
+    QuarantinedFamily, ReachReport, ReverifyOutcome, StreamSummary, StreamedFamily, SweepOptions,
+    SweepReport, SweepSchedule, Verifier, VerifierError,
 };

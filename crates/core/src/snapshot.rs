@@ -12,7 +12,7 @@
 //!
 //! Both the fresh and the incremental sweep run families on workers that
 //! keep one warm `BddManager` arena each, recycled between families (see
-//! `Verifier::sweep_families`). A [`CachedPrefixReport`] therefore stores
+//! `Verifier::sweep_core`). A [`CachedPrefixReport`] therefore stores
 //! only plain data — hostnames, counts, formula *lengths* — never `Bdd`
 //! handles: a handle is only meaningful inside the arena segment that
 //! allocated it, and that segment is reset as soon as the family finishes.
@@ -122,7 +122,7 @@ impl FamilyDeps {
 /// scheduler needs locality information up front. Families that share
 /// origin devices propagate along mostly-identical paths and build the
 /// same link conditions, so batching them onto one worker keeps that
-/// worker's ITE cache and arena warm (see `Verifier::sweep_families`).
+/// worker's ITE cache and arena warm (see `Verifier::sweep_core`).
 pub struct OriginIndex {
     /// `(prefix, node id)` pairs sorted by network address — descendant
     /// lookups are a contiguous run in this order.

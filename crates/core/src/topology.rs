@@ -49,8 +49,7 @@ impl std::error::Error for TopologyError {}
 /// The functional role a router plays in the WAN, recovered from topogen's
 /// hostname convention `<ROLE><region>x<index>` (e.g. `CR2x0`, `PE0x3`).
 /// Hand-written fixtures that don't follow the convention get
-/// [`RouterRole::Unknown`] — the region partitioner then falls back to
-/// connectivity components.
+/// [`RouterRole::Unknown`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RouterRole {
     /// Backbone core router (`CR`).

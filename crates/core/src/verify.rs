@@ -259,12 +259,10 @@ pub struct SweepReport {
     /// ordered by family index. Deterministic at any thread count as long
     /// as no wall-clock deadline is configured.
     pub quarantined: Vec<QuarantinedFamily>,
-    /// Per-family stage provenance, ordered by family index. Empty for
-    /// monolithic sweeps and for `--abstraction off`; populated by the
-    /// modular pipeline with [`FamilyOutcome::ProvedAbstract`] /
-    /// [`FamilyOutcome::RefinedExact`]. Additive metadata: deliberately
-    /// *outside* the modular-vs-monolithic byte-identity contract, which
-    /// covers `reports` and `quarantined`.
+    /// Per-family stage provenance, ordered by family index: one entry per
+    /// completed family when [`SweepOptions::modular`] is on
+    /// ([`FamilyOutcome::ProvedAbstract`] families skipped the exact stage,
+    /// [`FamilyOutcome::RefinedExact`] ones ran it), empty otherwise.
     pub provenance: Vec<FamilyProvenance>,
 }
 
@@ -277,48 +275,6 @@ pub struct FamilyProvenance {
     pub prefixes: Vec<Ipv4Prefix>,
     /// [`FamilyOutcome::ProvedAbstract`] or [`FamilyOutcome::RefinedExact`].
     pub outcome: FamilyOutcome,
-}
-
-/// The stages of the modular verification pipeline (`sweep --modular`).
-/// A monolithic sweep runs [`PipelineStage::Exact`] only; the modular
-/// pipeline partitions once per sweep, then runs the abstract first pass
-/// and (where needed) the exact refinement per family.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PipelineStage {
-    /// Region partitioning and boundary bookkeeping (once per sweep).
-    Partition,
-    /// The abstract route-nondeterminism first pass (per family).
-    Abstract,
-    /// The exact conditioned simulation (per family).
-    Exact,
-}
-
-impl PipelineStage {
-    /// Stable span/provenance name for the stage.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PipelineStage::Partition => "verify.partition",
-            PipelineStage::Abstract => "verify.abstract",
-            PipelineStage::Exact => "verify.exact",
-        }
-    }
-}
-
-/// What the modular pipeline's abstract first pass is allowed to decide.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AbstractionMode {
-    /// Skip the abstract pass entirely; every family runs exact.
-    Off,
-    /// Run the abstract pass for provenance and counters, but still settle
-    /// every family exactly — reports are byte-identical to a monolithic
-    /// sweep *by construction*.
-    #[default]
-    ProveOnly,
-    /// Families the abstract pass proves skip the exact simulation; their
-    /// reports are synthesized from the proofs (soundness: the abstract
-    /// pass only ever returns proofs that are exact within the ball, and
-    /// anything inconclusive falls through to the exact stage).
-    Full,
 }
 
 /// Per-family resource caps for a sweep. The node and op caps are
@@ -347,7 +303,7 @@ impl FamilyBudget {
     }
 }
 
-/// How [`Verifier::sweep_families`] hands families to workers.
+/// How a sweep hands families to workers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SweepSchedule {
     /// A bare atomic claim counter: the next free worker takes the next
@@ -416,12 +372,13 @@ pub struct SweepOptions {
     pub fail_fast: bool,
     /// Per-family resource caps.
     pub budget: FamilyBudget,
-    /// Run the modular three-stage pipeline (partition → abstract first
-    /// pass → exact refinement) instead of the monolithic per-family
-    /// simulation. Off by default.
+    /// Run the modular pipeline: each family first tries the abstract
+    /// pass, and a family it proves skips the exact simulation — its
+    /// reports are synthesized from the proof (sound: the abstract pass
+    /// only returns proofs that are exact within the failure ball, and
+    /// anything inconclusive falls through to the exact stage). Off by
+    /// default.
     pub modular: bool,
-    /// What the abstract first pass may decide (ignored unless `modular`).
-    pub abstraction: AbstractionMode,
     /// How families are scheduled onto workers.
     pub schedule: SweepSchedule,
 }
@@ -466,6 +423,16 @@ fn claim_batch(
     None
 }
 
+/// Wall time since `t0` in nanoseconds, or 0 unless `hoyan_obs::set_timing`
+/// opted into wall-clock capture (see [`FamilyCost::wall_ns`]).
+fn wall_ns_since(t0: Instant) -> u64 {
+    if hoyan_obs::timing() {
+        t0.elapsed().as_nanos() as u64
+    } else {
+        0
+    }
+}
+
 /// Best-effort extraction of a panic payload's message.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -486,7 +453,6 @@ pub struct Verifier {
     pub isis: Arc<IsisDb>,
     isis_k: Option<u32>,
     known_prefixes: Vec<Ipv4Prefix>,
-    sweep_stats: std::sync::Mutex<PruneStats>,
     /// Dependency traces from *unbounded-budget* runs (role-equivalence
     /// simulations). Budgeted sweep traces are deliberately kept out: a
     /// trace at budget `k` can miss devices an unbounded run reaches.
@@ -539,7 +505,6 @@ impl Verifier {
             isis: compiled.isis,
             isis_k: compiled.isis_k,
             known_prefixes: known.into_iter().collect(),
-            sweep_stats: std::sync::Mutex::new(PruneStats::default()),
             equiv_deps: std::sync::Mutex::new(std::collections::HashMap::new()),
         }
     }
@@ -552,14 +517,6 @@ impl Verifier {
             isis: Arc::clone(&self.isis),
             isis_k: self.isis_k,
         }
-    }
-
-    /// Aggregated pruning statistics across every family simulated by
-    /// [`Verifier::verify_all_routes`] so far, including the per-family
-    /// stats accumulated on worker threads (one contribution per family,
-    /// matching a single-threaded run).
-    pub fn sweep_stats(&self) -> PruneStats {
-        *self.sweep_stats.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// All prefixes known to the snapshot (networks, aggregates, statics).
@@ -885,15 +842,12 @@ impl Verifier {
             Some(hoyan_rt::fault::Fault::OverBudget) => budget.max_ite_ops = Some(0),
         }
         let t0 = Instant::now();
-        // Stage 2 of the modular pipeline: the abstract first pass. Runs in
-        // the *same* arena as the exact stage (its ops count against the
-        // family budget), against the same shared-base session conditions,
-        // so both stages price sessions alike. A proof in `Full` mode
-        // settles the family without simulating; in `ProveOnly` mode the
-        // proof is provenance and the exact stage still produces every
-        // report — byte-identical to a monolithic sweep by construction.
+        // The modular pipeline's abstract pass. Runs in the *same* arena as
+        // the exact stage (its ops count against the family budget), against
+        // the same shared-base session conditions, so both stages price
+        // sessions alike. A proof settles the family without simulating.
         let mut provenance = None;
-        if opts.modular && opts.abstraction != AbstractionMode::Off {
+        if opts.modular {
             // Own injection site so tests can fault the abstract stage
             // specifically: an error or breach here quarantines only this
             // family, exactly like an exact-stage fault.
@@ -910,15 +864,9 @@ impl Verifier {
                 }
                 Some(hoyan_rt::fault::Fault::OverBudget) => budget.max_ite_ops = Some(0),
             }
-            let abs_span = hoyan_obs::span(PipelineStage::Abstract.name());
+            let abs_span = hoyan_obs::span("verify.abstract");
             arena.set_budget(budget.bdd());
-            let outcome = crate::abstract_sim::prove_family(
-                &self.net,
-                crate::abstract_sim::SessionConds::Base(base),
-                &mut arena,
-                fam,
-                k,
-            );
+            let outcome = crate::abstract_sim::prove_family(&self.net, base, &mut arena, fam, k);
             drop(abs_span);
             match outcome {
                 Err(breach) => {
@@ -927,55 +875,45 @@ impl Verifier {
                 }
                 Ok(crate::abstract_sim::AbstractOutcome::Proved(proofs)) => {
                     hoyan_obs::record(hoyan_obs::EventKind::StageAbstract { proved: true });
-                    provenance = Some(FamilyOutcome::ProvedAbstract);
-                    if opts.abstraction == AbstractionMode::Full {
-                        // The proof settles the family: synthesize the
-                        // reports it implies. Prune stats and cond sizes
-                        // describe exact propagation, which never ran —
-                        // they stay zero. Deps are conservatively "all of
-                        // the network", so an incremental reverify always
-                        // reclassifies the family dirty.
-                        if let Some(breach) = arena.budget_exceeded() {
-                            hoyan_obs::record(hoyan_obs::EventKind::BudgetBreach);
-                            return (Err(SimError::OverBudget(breach)), arena);
-                        }
-                        let reports = proofs
-                            .iter()
-                            .enumerate()
-                            .map(|(pi, proof)| PrefixReport {
-                                prefix: proof.prefix,
-                                sim_time: Duration::ZERO,
-                                query_time: Duration::ZERO,
-                                stats: PruneStats::default(),
-                                max_cond_len: 0,
-                                max_reach_formula_len: proof.max_reach_formula_len,
-                                scope: proof.scope.clone(),
-                                fragile: proof.fragile.clone(),
-                                family_head: pi == 0,
-                            })
-                            .collect();
-                        let wall_ns = if hoyan_obs::timing() {
-                            t0.elapsed().as_nanos() as u64
-                        } else {
-                            0
-                        };
-                        let sweep = FamilySweep {
-                            index,
-                            stats: PruneStats::default(),
-                            reports,
-                            deps: self.whole_network_deps(),
-                            cost: FamilyCost::from_manager(&arena, wall_ns),
-                            provenance,
-                        };
-                        return (Ok(sweep), arena);
+                    // Synthesize the reports the proof implies. Prune stats
+                    // and cond sizes describe exact propagation, which never
+                    // ran — they stay zero. Deps are conservatively "all of
+                    // the network", so an incremental reverify always
+                    // reclassifies the family dirty.
+                    if let Some(breach) = arena.budget_exceeded() {
+                        hoyan_obs::record(hoyan_obs::EventKind::BudgetBreach);
+                        return (Err(SimError::OverBudget(breach)), arena);
                     }
+                    let reports = proofs
+                        .iter()
+                        .enumerate()
+                        .map(|(pi, proof)| PrefixReport {
+                            prefix: proof.prefix,
+                            sim_time: Duration::ZERO,
+                            query_time: Duration::ZERO,
+                            stats: PruneStats::default(),
+                            max_cond_len: 0,
+                            max_reach_formula_len: proof.max_reach_formula_len,
+                            scope: proof.scope.clone(),
+                            fragile: proof.fragile.clone(),
+                            family_head: pi == 0,
+                        })
+                        .collect();
+                    let sweep = FamilySweep {
+                        index,
+                        reports,
+                        deps: self.whole_network_deps(),
+                        cost: FamilyCost::from_manager(&arena, wall_ns_since(t0)),
+                        provenance: Some(FamilyOutcome::ProvedAbstract),
+                    };
+                    return (Ok(sweep), arena);
                 }
                 Ok(crate::abstract_sim::AbstractOutcome::Inconclusive(_reason)) => {
                     hoyan_obs::record(hoyan_obs::EventKind::StageAbstract { proved: false });
+                    hoyan_obs::record(hoyan_obs::EventKind::StageExact);
                     provenance = Some(FamilyOutcome::RefinedExact);
                 }
             }
-            hoyan_obs::record(hoyan_obs::EventKind::StageExact);
         }
         let sim_span = hoyan_obs::span("verify.sim");
         let mut sim = Simulation::new_bgp_in(
@@ -1039,17 +977,11 @@ impl Verifier {
             hoyan_obs::record(hoyan_obs::EventKind::BudgetBreach);
             return (Err(SimError::OverBudget(breach)), sim.into_manager());
         }
-        let wall_ns = if hoyan_obs::timing() {
-            t0.elapsed().as_nanos() as u64
-        } else {
-            0
-        };
         let sweep = FamilySweep {
             index,
-            stats: sim.stats,
             reports: family_reports,
             deps: FamilyDeps::from_trace(&sim.deps, &self.net.topology),
-            cost: FamilyCost::from_manager(&sim.mgr, wall_ns),
+            cost: FamilyCost::from_manager(&sim.mgr, wall_ns_since(t0)),
             provenance,
         };
         (Ok(sweep), sim.into_manager())
@@ -1079,41 +1011,6 @@ impl Verifier {
             touched_devices: devices,
             touched_links: links,
         }
-    }
-
-    /// Simulates the given prefix families at budget `k` on `threads` scoped
-    /// `std::thread`s (CPU-bound work, no async runtime) and returns each
-    /// family's reports plus the dependency trace its propagation recorded.
-    /// Results come back ordered by family index, so callers see the same
-    /// sequence for any thread count.
-    ///
-    /// Fault tolerance: each family runs under `catch_unwind`; an error,
-    /// budget breach or panic quarantines *that family only* and the rest
-    /// of the sweep completes. With [`SweepOptions::fail_fast`] the sweep
-    /// instead aborts like the pre-quarantine implementation — but failures
-    /// are recorded keyed by family index, so the surfaced error is the
-    /// *lowest-index* failing family at any thread count (under the
-    /// round-robin schedule claims are issued in index order, so once a
-    /// failure at index `j` stops the claim counter, every index below it
-    /// has been claimed and its outcome recorded before the workers drain;
-    /// under [`SweepSchedule::Deps`] the surfaced error is the lowest
-    /// *recorded* failing index, which can vary with the thread count —
-    /// prefer the default schedule with `fail_fast`).
-    ///
-    /// Determinism: a family's reports are pushed atomically (all or
-    /// nothing), the final list is sorted by family index, and the
-    /// quarantine counters are bumped once, post-join — so reports,
-    /// quarantined set and counters are identical for any thread count
-    /// (see `tests/determinism.rs` and `tests/faults.rs`).
-    fn sweep_families(
-        &self,
-        families: &[Vec<Ipv4Prefix>],
-        k: u32,
-        threads: usize,
-        opts: &SweepOptions,
-        units: Option<&[usize]>,
-    ) -> Result<SweepOutcome, SimError> {
-        self.sweep_families_sink(families, k, threads, opts, units, None)
     }
 
     /// Plans the [`SweepSchedule::Deps`] batches: families that share an
@@ -1173,36 +1070,57 @@ impl Verifier {
         batches
     }
 
-    /// [`Verifier::sweep_families`] with an optional streaming sink: when
-    /// `sink` is set, each completed family's reports are sent through a
-    /// bounded channel as the worker finishes them (backpressure bounds
-    /// the reports alive at once to O(threads)) and the returned
-    /// [`SweepOutcome`] keeps report-less shells for the post-join
-    /// bookkeeping. Quarantined families are streamed post-join, in index
-    /// order. The sink runs on the calling thread.
-    fn sweep_families_sink(
+    /// The sweep core every entry point shares: simulates the given prefix
+    /// families at budget `k` on `threads` scoped `std::thread`s (CPU-bound
+    /// work, no async runtime) and hands each completed family to `merge`.
+    /// The merger runs on the calling thread, fed through a channel bounded
+    /// at two families per worker: a slow merger backpressures the workers,
+    /// and at most O(threads) finished families wait in memory. Families
+    /// arrive in completion order (`FamilySweep::index` identifies them);
+    /// the quarantined ones are returned, in index order.
+    ///
+    /// Fault tolerance: each family runs under `catch_unwind`; an error,
+    /// budget breach or panic quarantines *that family only* and the rest
+    /// of the sweep completes. With [`SweepOptions::fail_fast`] the sweep
+    /// instead aborts like the pre-quarantine implementation — but failures
+    /// are recorded keyed by family index, so the surfaced error is the
+    /// *lowest-index* failing family at any thread count (under the
+    /// round-robin schedule claims are issued in index order, so once a
+    /// failure at index `j` stops the claim counter, every index below it
+    /// has been claimed and its outcome recorded before the workers drain;
+    /// under [`SweepSchedule::Deps`] the surfaced error is the lowest
+    /// *recorded* failing index, which can vary with the thread count —
+    /// prefer the default schedule with `fail_fast`).
+    ///
+    /// Determinism: a family reaches the merger whole (all its reports at
+    /// once), and the quarantine, provenance and cost records are published
+    /// once, post-join, in index order — so the set of merged families, the
+    /// quarantined list and every counter are identical for any thread
+    /// count (see `tests/determinism.rs` and `tests/faults.rs`).
+    ///
+    /// `units` maps a position in `families` to its flight-recorder unit id
+    /// (the position itself when `None`): `reverify` passes the
+    /// classification indices of its dirty list, so recorded events and
+    /// costs carry global family ids.
+    fn sweep_core(
         &self,
         families: &[Vec<Ipv4Prefix>],
         k: u32,
         threads: usize,
         opts: &SweepOptions,
         units: Option<&[usize]>,
-        mut sink: Option<&mut dyn FnMut(StreamedFamily)>,
-    ) -> Result<SweepOutcome, SimError> {
+        merge: &mut dyn FnMut(FamilySweep),
+    ) -> Result<Vec<QuarantinedFamily>, SimError> {
         use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
         let _sweep = hoyan_obs::span("verify.sweep");
         // Fan-out occupancy: thread-count-dependent by nature, so a gauge
         // (the determinism contract covers counters/histograms only).
         hoyan_obs::metric!(gauge "verify.fanout_threads").record_max(threads.max(1) as u64);
         hoyan_obs::metric!(gauge "verify.fanout_families").record_max(families.len() as u64);
-        // Flight-recorder unit ids: the local family index by default;
-        // `reverify` passes the classification indices of its dirty list so
-        // recorded events and costs carry global family ids.
         let unit_of = |i: usize| match units {
             Some(u) => u[i] as u64,
             None => i as u64,
         };
-        let results = std::sync::Mutex::new(Vec::new());
         let next = AtomicUsize::new(0);
         // Recorder worker ids (for the opt-in `--timing` trace only; with
         // timing off the trace never exposes worker identity).
@@ -1247,21 +1165,19 @@ impl Verifier {
             }
         }
         let steals = AtomicU64::new(0);
+        // What the calling thread keeps of each merged family for the
+        // post-join, index-ordered publication below.
+        let mut costs: Vec<(usize, FamilyCost)> = Vec::with_capacity(families.len());
+        let (mut proved, mut refined) = (0u64, 0u64);
         std::thread::scope(|s| {
-            // Streaming channel: bounded at two families per worker, so a
-            // slow sink throttles the sweep instead of buffering every
+            // The merge channel: bounded at two families per worker, so a
+            // slow merger throttles the sweep instead of buffering every
             // report.
-            let (tx, rx) = if sink.is_some() {
-                let (t, r) = std::sync::mpsc::sync_channel::<StreamedFamily>(nw * 2);
-                (Some(t), Some(r))
-            } else {
-                (None, None)
-            };
+            let (tx, rx) = std::sync::mpsc::sync_channel::<FamilySweep>(nw * 2);
             // Shadow references: the worker closures are `move` (each owns
-            // its clone of the streaming sender) and must not capture the
-            // shared state by value.
+            // its clone of the sender) and must not capture the shared
+            // state by value.
             let this = self;
-            let results = &results;
             let failures = &failures;
             let failed = &failed;
             let next = &next;
@@ -1358,7 +1274,7 @@ impl Verifier {
                                 )
                             }));
                             let failure = match work {
-                                Ok((Ok(mut sweep), mgr)) => {
+                                Ok((Ok(sweep), mgr)) => {
                                     hoyan_obs::record(hoyan_obs::EventKind::FamilyEnd {
                                         ops: sweep.cost.ops,
                                         peak_nodes: sweep.cost.peak_family_nodes,
@@ -1376,31 +1292,11 @@ impl Verifier {
                                     if opts.fail_fast && failed.load(Ordering::Acquire) {
                                         break;
                                     }
-                                    self.sweep_stats
-                                        .lock()
-                                        .unwrap_or_else(|p| p.into_inner())
-                                        .merge(&sweep.stats);
                                     hoyan_obs::metric!(counter "verify.families").inc();
                                     hoyan_obs::metric!(counter "verify.prefixes")
                                         .add(families[i].len() as u64);
-                                    if let Some(tx) = &tx {
-                                        // Streaming: hand the reports to
-                                        // the sink now (the bounded send
-                                        // is the backpressure) and keep a
-                                        // report-less shell for the
-                                        // post-join bookkeeping.
-                                        let reports = std::mem::take(&mut sweep.reports);
-                                        sweep.deps = FamilyDeps::default();
-                                        let _ = tx.send(StreamedFamily::Done {
-                                            index: sweep.index,
-                                            reports,
-                                            cost: sweep.cost,
-                                        });
-                                    }
-                                    results
-                                        .lock()
-                                        .unwrap_or_else(|p| p.into_inner())
-                                        .push(sweep);
+                                    // The bounded send is the backpressure.
+                                    let _ = tx.send(sweep);
                                     continue;
                                 }
                                 Ok((Err(e), mgr)) => {
@@ -1447,16 +1343,19 @@ impl Verifier {
                     })
                 })
                 .collect();
-            // The streaming pump runs on this (the calling) thread while
-            // the workers produce. Dropping the original sender first
-            // leaves the workers holding the only clones, so the receive
-            // loop ends exactly when the last worker exits.
+            // The merger runs on this (the calling) thread while the
+            // workers produce. Dropping the original sender first leaves
+            // the workers holding the only clones, so the receive loop ends
+            // exactly when the last worker exits.
             drop(tx);
-            if let Some(rx) = rx {
-                let sink = sink.as_mut().expect("streaming channel implies a sink");
-                for item in rx {
-                    sink(item);
+            for sweep in rx {
+                costs.push((sweep.index, sweep.cost));
+                match sweep.provenance {
+                    Some(FamilyOutcome::ProvedAbstract) => proved += 1,
+                    Some(FamilyOutcome::RefinedExact) => refined += 1,
+                    _ => {}
                 }
+                merge(sweep);
             }
             // Join explicitly and re-raise the first *harness* panic (the
             // per-family work is already caught above; anything escaping
@@ -1529,35 +1428,19 @@ impl Verifier {
             hoyan_obs::metric!(gauge "verify.sched_steals")
                 .record_max(steals.load(std::sync::atomic::Ordering::Relaxed));
         }
-        // Quarantine verdicts reach a streaming sink post-join too, in
-        // index order, mirroring their deterministic fold above.
-        if let Some(sink) = sink.as_mut() {
-            for q in &quarantined {
-                sink(StreamedFamily::Quarantined(q.clone()));
-            }
-        }
-        let mut out = results.into_inner().unwrap_or_else(|p| p.into_inner());
-        out.sort_by_key(|f| f.index);
         // Stage-provenance counters, also bumped once post-join so the
         // modular pipeline keeps the same thread-count-invariance contract.
-        let proved = out
-            .iter()
-            .filter(|f| f.provenance == Some(FamilyOutcome::ProvedAbstract))
-            .count() as u64;
-        let refined = out
-            .iter()
-            .filter(|f| f.provenance == Some(FamilyOutcome::RefinedExact))
-            .count() as u64;
         hoyan_obs::metric!(counter "verify.families_abstract_proved").add(proved);
         hoyan_obs::metric!(counter "verify.families_refined").add(refined);
         // Publish the per-family cost attribution and the quarantine
         // verdicts to the flight recorder — post-join and in index order,
         // so the merged log is deterministic at any thread count.
         if hoyan_obs::events_enabled() {
-            for f in &out {
-                hoyan_obs::record_unit_cost(f.cost.unit_cost(
-                    unit_of(f.index),
-                    family_label(&families[f.index]),
+            costs.sort_unstable_by_key(|&(i, _)| i);
+            for (i, cost) in &costs {
+                hoyan_obs::record_unit_cost(cost.unit_cost(
+                    unit_of(*i),
+                    family_label(&families[*i]),
                     false,
                     false,
                 ));
@@ -1573,20 +1456,9 @@ impl Verifier {
             }
             hoyan_obs::flush_thread_events();
         }
-        Ok(SweepOutcome {
-            families: out,
-            quarantined,
-        })
+        Ok(quarantined)
     }
 
-    /// Publishes the sweep-wide gauges from the aggregate prune stats.
-    fn flush_sweep_gauges(&self) {
-        let agg = self.sweep_stats();
-        hoyan_obs::metric!(gauge "verify.sweep_delivered").set(agg.delivered);
-        hoyan_obs::metric!(gauge "verify.sweep_dropped")
-            .set(agg.dropped_policy + agg.dropped_over_k + agg.dropped_impossible);
-        hoyan_obs::metric!(gauge "verify.sweep_max_formula_len").record_max(agg.max_formula_len);
-    }
 
     /// Full-network route-reachability sweep: simulates every prefix family
     /// at budget `k` and reports per-prefix timings, statistics and fragile
@@ -1611,18 +1483,10 @@ impl Verifier {
         opts: &SweepOptions,
     ) -> Result<SweepReport, SimError> {
         let families = self.families();
-        self.partition_stage(opts);
-        let swept = self.sweep_families(&families, k, threads, opts, None)?;
-        let provenance = Self::stage_provenance(&families, &swept);
-        let mut out: Vec<PrefixReport> =
-            swept.families.into_iter().flat_map(|f| f.reports).collect();
-        out.sort_by_key(|r| r.prefix);
-        self.flush_sweep_gauges();
-        Ok(SweepReport {
-            reports: out,
-            quarantined: swept.quarantined,
-            provenance,
-        })
+        let mut acc = Collected::default();
+        let quarantined =
+            self.sweep_core(&families, k, threads, opts, None, &mut |f| acc.add(f, &families))?;
+        Ok(acc.finish(quarantined))
     }
 
     /// Streaming [`Verifier::verify_all_routes_opts`]: instead of
@@ -1646,54 +1510,24 @@ impl Verifier {
         sink: &mut dyn FnMut(StreamedFamily),
     ) -> Result<StreamSummary, SimError> {
         let families = self.families();
-        self.partition_stage(opts);
-        let swept = self.sweep_families_sink(&families, k, threads, opts, None, Some(sink))?;
-        self.flush_sweep_gauges();
-        let prefixes = swept
-            .families
-            .iter()
-            .map(|f| families[f.index].len())
-            .sum();
-        Ok(StreamSummary {
-            families: swept.families.len(),
-            prefixes,
-            quarantined: swept.quarantined.len(),
-        })
-    }
-
-    /// Stage 1 of the modular pipeline: derive the region partition from
-    /// topogen role metadata (connectivity components for role-less
-    /// fixtures) and publish its shape. The sweep itself stays whole-
-    /// network — region-local verification against neighbor summaries is
-    /// the [`crate::region`] API — so partitioning cannot perturb verdicts.
-    fn partition_stage(&self, opts: &SweepOptions) {
-        if !opts.modular {
-            return;
+        let mut stats = PruneStats::default();
+        let mut summary = StreamSummary::default();
+        let quarantined = self.sweep_core(&families, k, threads, opts, None, &mut |f| {
+            merge_head_stats(&mut stats, &f.reports);
+            summary.families += 1;
+            summary.prefixes += families[f.index].len();
+            sink(StreamedFamily::Done {
+                index: f.index,
+                reports: f.reports,
+                cost: f.cost,
+            });
+        })?;
+        publish_sweep_gauges(&stats);
+        summary.quarantined = quarantined.len();
+        for q in quarantined {
+            sink(StreamedFamily::Quarantined(q));
         }
-        let _sp = hoyan_obs::span(PipelineStage::Partition.name());
-        let map = crate::region::RegionMap::build(&self.net.topology);
-        hoyan_obs::metric!(gauge "verify.regions").set(map.region_count() as u64);
-        hoyan_obs::metric!(gauge "verify.region_boundary_links")
-            .set(map.boundary_links(&self.net.topology).len() as u64);
-    }
-
-    /// Collects the per-family stage provenance of a modular sweep (empty
-    /// for monolithic sweeps — no completed family carries provenance).
-    fn stage_provenance(
-        families: &[Vec<Ipv4Prefix>],
-        swept: &SweepOutcome,
-    ) -> Vec<FamilyProvenance> {
-        swept
-            .families
-            .iter()
-            .filter_map(|f| {
-                f.provenance.clone().map(|outcome| FamilyProvenance {
-                    index: f.index,
-                    prefixes: families[f.index].clone(),
-                    outcome,
-                })
-            })
-            .collect()
+        Ok(summary)
     }
 
     /// Like [`Verifier::verify_all_routes`], but also returns a
@@ -1719,34 +1553,28 @@ impl Verifier {
         opts: &SweepOptions,
     ) -> Result<(SweepReport, FamilyCache), SimError> {
         let families = self.families();
-        self.partition_stage(opts);
-        let swept = self.sweep_families(&families, k, threads, opts, None)?;
-        let provenance = Self::stage_provenance(&families, &swept);
+        let mut acc = Collected::default();
         let mut cache = FamilyCache::new(k, self.isis_k);
-        let mut out = Vec::new();
-        for f in swept.families {
-            cache.insert(CachedFamily {
-                prefixes: families[f.index].clone(),
-                reports: f
-                    .reports
-                    .iter()
-                    .map(|r| CachedPrefixReport::from_report(r, &self.net.topology))
-                    .collect(),
-                deps: f.deps,
-                cost: f.cost,
-            });
-            out.extend(f.reports);
+        let quarantined = self.sweep_core(&families, k, threads, opts, None, &mut |mut f| {
+            cache.insert(self.cache_entry(families[f.index].clone(), &mut f));
+            acc.add(f, &families);
+        })?;
+        Ok((acc.finish(quarantined), cache))
+    }
+
+    /// The cache entry of a completed family; takes the family's
+    /// dependency trace.
+    fn cache_entry(&self, prefixes: Vec<Ipv4Prefix>, f: &mut FamilySweep) -> CachedFamily {
+        CachedFamily {
+            prefixes,
+            reports: f
+                .reports
+                .iter()
+                .map(|r| CachedPrefixReport::from_report(r, &self.net.topology))
+                .collect(),
+            deps: std::mem::take(&mut f.deps),
+            cost: f.cost,
         }
-        out.sort_by_key(|r| r.prefix);
-        self.flush_sweep_gauges();
-        Ok((
-            SweepReport {
-                reports: out,
-                quarantined: swept.quarantined,
-                provenance,
-            },
-            cache,
-        ))
     }
 
     /// Classifies every family of *this* (post-change) verifier against a
@@ -1805,7 +1633,7 @@ impl Verifier {
     ) -> Result<ReverifyOutcome, SimError> {
         let _sp = hoyan_obs::span("verify.reverify");
         let mut classifications = self.classify_families(delta, cache, k);
-        let mut reports: Vec<PrefixReport> = Vec::new();
+        let mut acc = Collected::default();
         let mut new_cache = FamilyCache::new(k, self.isis_k);
         for (ci, (fam, reason)) in classifications.iter_mut().enumerate() {
             if reason.is_some() {
@@ -1833,16 +1661,9 @@ impl Verifier {
                 .collect();
             match replayed {
                 Some(rs) => {
-                    // Fold the family's stats into the sweep aggregate so
-                    // `sweep_stats` matches a from-scratch sweep (one
-                    // contribution per family, via its head report).
-                    if let Some(head) = rs.iter().find(|r| r.family_head) {
-                        self.sweep_stats
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .merge(&head.stats);
-                    }
-                    reports.extend(rs);
+                    // Replayed families count toward this sweep's gauges,
+                    // so they match a from-scratch sweep.
+                    acc.add_reports(rs);
                     if hoyan_obs::events_enabled() {
                         // Unit ids in a reverify are classification indices;
                         // a reused family is attributed at zero cost (its
@@ -1871,60 +1692,96 @@ impl Verifier {
         let reused = classifications.len() - dirty.len();
         hoyan_obs::metric!(counter "verify.families_reused").add(reused as u64);
         hoyan_obs::metric!(counter "verify.families_recomputed").add(dirty.len() as u64);
-        let swept = self.sweep_families(&dirty, k, threads, opts, Some(&dirty_units))?;
-        for f in swept.families {
-            new_cache.insert(CachedFamily {
-                prefixes: dirty[f.index].clone(),
-                reports: f
-                    .reports
-                    .iter()
-                    .map(|r| CachedPrefixReport::from_report(r, &self.net.topology))
-                    .collect(),
-                deps: f.deps,
-                cost: f.cost,
-            });
-            reports.extend(f.reports);
-        }
-        reports.sort_by_key(|r| r.prefix);
-        self.flush_sweep_gauges();
+        let quarantined =
+            self.sweep_core(&dirty, k, threads, opts, Some(&dirty_units), &mut |mut f| {
+                new_cache.insert(self.cache_entry(dirty[f.index].clone(), &mut f));
+                acc.add(f, &dirty);
+            })?;
+        let merged = acc.finish(quarantined);
         Ok(ReverifyOutcome {
-            reports,
+            reports: merged.reports,
             cache: new_cache,
             recomputed: dirty.len(),
             reused,
             classifications,
-            quarantined: swept.quarantined,
+            quarantined: merged.quarantined,
         })
     }
 }
 
 /// One family's output from a parallel sweep.
 struct FamilySweep {
-    /// Index into the family list handed to `sweep_families`.
+    /// Index into the family list handed to the sweep core.
     index: usize,
-    /// The family's prune-stats contribution, merged into the sweep
-    /// aggregate by the worker loop (not by `run_family`, so a fail-fast
-    /// abort can still suppress publication).
-    stats: PruneStats,
     /// Per-prefix reports, in family order (head first).
     reports: Vec<PrefixReport>,
     /// Devices and links the family's propagation touched.
     deps: FamilyDeps,
     /// The family's resource bill, read off its arena at completion.
     cost: FamilyCost,
-    /// Modular-pipeline stage provenance (`None` for monolithic sweeps):
-    /// [`FamilyOutcome::ProvedAbstract`] when the abstract first pass
-    /// settled the family, [`FamilyOutcome::RefinedExact`] otherwise.
+    /// Modular-pipeline stage provenance (`None` unless
+    /// [`SweepOptions::modular`]): [`FamilyOutcome::ProvedAbstract`] when
+    /// the abstract pass settled the family, [`FamilyOutcome::RefinedExact`]
+    /// otherwise.
     provenance: Option<FamilyOutcome>,
 }
 
-/// Everything a sweep produced: the completed families plus the
-/// quarantined ones (empty under fail-fast, which errors instead).
-struct SweepOutcome {
-    /// Completed families, sorted by index.
-    families: Vec<FamilySweep>,
-    /// Families that errored, breached a budget or panicked.
-    quarantined: Vec<QuarantinedFamily>,
+/// Folds one family's prune stats into `agg`. Every report of a family
+/// carries the family's stats, so they count once, via the head.
+fn merge_head_stats(agg: &mut PruneStats, reports: &[PrefixReport]) {
+    if let Some(head) = reports.iter().find(|r| r.family_head) {
+        agg.merge(&head.stats);
+    }
+}
+
+/// Publishes one sweep's totals as the sweep-wide gauges.
+fn publish_sweep_gauges(agg: &PruneStats) {
+    hoyan_obs::metric!(gauge "verify.sweep_delivered").set(agg.delivered);
+    hoyan_obs::metric!(gauge "verify.sweep_dropped")
+        .set(agg.dropped_policy + agg.dropped_over_k + agg.dropped_impossible);
+    hoyan_obs::metric!(gauge "verify.sweep_max_formula_len").set(agg.max_formula_len);
+}
+
+/// The merger the materializing entry points share: it gathers the
+/// merged families' reports and provenance and sums their prune stats.
+#[derive(Default)]
+struct Collected {
+    reports: Vec<PrefixReport>,
+    provenance: Vec<FamilyProvenance>,
+    stats: PruneStats,
+}
+
+impl Collected {
+    /// Folds in one family's reports, simulated or replayed.
+    fn add_reports(&mut self, reports: Vec<PrefixReport>) {
+        merge_head_stats(&mut self.stats, &reports);
+        self.reports.extend(reports);
+    }
+
+    /// Folds in one completed family of `families`.
+    fn add(&mut self, f: FamilySweep, families: &[Vec<Ipv4Prefix>]) {
+        if let Some(outcome) = f.provenance {
+            self.provenance.push(FamilyProvenance {
+                index: f.index,
+                prefixes: families[f.index].clone(),
+                outcome,
+            });
+        }
+        self.add_reports(f.reports);
+    }
+
+    /// Sorts what was merged into its deterministic order, publishes the
+    /// sweep gauges and packs the report.
+    fn finish(mut self, quarantined: Vec<QuarantinedFamily>) -> SweepReport {
+        self.reports.sort_by_key(|r| r.prefix);
+        self.provenance.sort_by_key(|p| p.index);
+        publish_sweep_gauges(&self.stats);
+        SweepReport {
+            reports: self.reports,
+            quarantined,
+            provenance: self.provenance,
+        }
+    }
 }
 
 /// Result of an incremental [`Verifier::reverify`] sweep.

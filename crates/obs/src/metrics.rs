@@ -281,8 +281,6 @@ pub fn register_default_metrics() {
         "propagate.max_formula_len",
         "verify.fanout_families",
         "verify.fanout_threads",
-        "verify.region_boundary_links",
-        "verify.regions",
         "verify.sched_steals",
         "verify.sweep_delivered",
         "verify.sweep_dropped",

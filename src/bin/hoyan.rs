@@ -11,9 +11,8 @@
 //! hoyan equiv  <dir> --a CR0x0 --b CR0x1
 //! hoyan sweep  <dir> [--k 1] [--baseline <dirA>] [--fail-fast]
 //!              [--family-node-budget N] [--family-op-budget N]
-//!              [--family-deadline-ms MS]
-//!              [--modular] [--abstraction off|prove-only|full]
-//!              [--schedule roundrobin|deps] [--stream]
+//!              [--family-deadline-ms MS] [--bdd-order registration|dfs|bfs]
+//!              [--modular] [--schedule roundrobin|deps] [--stream]
 //! hoyan diff   <dirA> <dirB> [--k 1]
 //! hoyan audit  <before-dir> <after-dir> [--k 1] [--prefix P]...
 //! hoyan tune   <dir>
@@ -52,14 +51,15 @@
 //! section). The `--family-*-budget` flags become the per-request admission
 //! caps; `--workers` and `--queue` bound concurrency.
 //!
-//! `sweep --modular` runs the three-stage modular pipeline: partition the
-//! topology into role-derived regions, try the abstract (route-
-//! nondeterminism) first pass per prefix family, and fall through to the
-//! exact conditioned simulation where the abstraction is inconclusive.
-//! `--abstraction` picks what the first pass may decide: `prove-only` (the
-//! default) keeps reports byte-identical to a monolithic sweep and uses the
-//! pass for provenance/counters only; `full` lets proved families skip the
-//! exact stage; `off` disables the pass.
+//! `sweep --modular` runs the two-stage modular pipeline: each prefix
+//! family first tries the abstract (route-nondeterminism) pass, a family it
+//! proves skips the exact stage, and the rest fall through to the exact
+//! conditioned simulation. Verdicts match the default sweep; formula sizes
+//! and prune statistics of proved families do not, since no exact
+//! propagation ran for them.
+//!
+//! `sweep` rejects any flag it does not know with a usage error (exit 2),
+//! so a typo never silently runs a different sweep.
 //!
 //! Global flags (any subcommand): `--stats` prints a span-tree/metrics
 //! table, `--stats-json PATH` writes the metrics registry as deterministic
@@ -81,8 +81,8 @@ use std::process::ExitCode;
 
 use hoyan::config::{parse_config, ConfigSnapshot, DeviceConfig};
 use hoyan::core::{
-    AbstractionMode, FamilyBudget, FamilyOutcome, StreamedFamily, SweepOptions, SweepReport,
-    SweepSchedule, Verifier,
+    FamilyBudget, FamilyOutcome, StreamedFamily, SweepOptions, SweepReport, SweepSchedule,
+    Verifier,
 };
 use hoyan::device::{Packet, VsbProfile};
 use hoyan::nettypes::Ipv4Prefix;
@@ -330,16 +330,6 @@ fn num_flag(args: &[String], name: &str) -> Result<Option<u64>, CliError> {
 
 fn get_sweep_options(args: &[String]) -> Result<SweepOptions, CliError> {
     let num = |name: &str| num_flag(args, name);
-    let abstraction = match flag(args, "--abstraction")?.as_deref() {
-        None | Some("prove-only") => AbstractionMode::ProveOnly,
-        Some("off") => AbstractionMode::Off,
-        Some("full") => AbstractionMode::Full,
-        Some(other) => {
-            return Err(usage(format!(
-                "unknown --abstraction `{other}` (off|prove-only|full)"
-            )))
-        }
-    };
     let schedule = match flag(args, "--schedule")?.as_deref() {
         None | Some("roundrobin") => SweepSchedule::RoundRobin,
         Some("deps") => SweepSchedule::Deps,
@@ -357,9 +347,35 @@ fn get_sweep_options(args: &[String]) -> Result<SweepOptions, CliError> {
             deadline_ms: num("--family-deadline-ms")?,
         },
         modular: has_flag(args, "--modular"),
-        abstraction,
         schedule,
     })
+}
+
+/// Every flag `sweep` accepts; the global flags are stripped before
+/// dispatch.
+const SWEEP_FLAGS: &[&str] = &[
+    "--k",
+    "--threads",
+    "--baseline",
+    "--fail-fast",
+    "--family-node-budget",
+    "--family-op-budget",
+    "--family-deadline-ms",
+    "--bdd-order",
+    "--modular",
+    "--schedule",
+    "--stream",
+];
+
+/// A `--flag` (or `--flag=value`) outside `known` is a usage error.
+fn reject_unknown_flags(args: &[String], known: &[&str]) -> Result<(), CliError> {
+    for a in args.iter().filter(|a| a.starts_with("--")) {
+        let name = a.split_once('=').map_or(a.as_str(), |(name, _)| name);
+        if !known.contains(&name) {
+            return Err(usage(format!("unknown flag `{name}`")));
+        }
+    }
+    Ok(())
 }
 
 fn print_delta(delta: &hoyan::config::SnapshotDelta, snap_b: &ConfigSnapshot) {
@@ -549,6 +565,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         }
         "sweep" => {
             let dir = args.get(1).ok_or_else(|| usage("sweep needs a config directory"))?;
+            reject_unknown_flags(args, SWEEP_FLAGS)?;
             let k = get_k(args)?;
             let threads = get_threads(args)?;
             let opts = get_sweep_options(args)?;
@@ -632,7 +649,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     )
                     .map_err(|e| format!("baseline model construction failed: {e}"))?;
                     let (_, cache) = v_base
-                        .verify_all_routes_cached(k, threads)
+                        .verify_all_routes_cached_opts(k, threads, &opts)
                         .map_err(|e| e.to_string())?;
                     let v = Verifier::new_ordered(
                         new_snap.into_devices(),
@@ -863,7 +880,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                  \x20 hoyan sweep  <dir> [--k K] [--threads N] [--baseline <dirA>] [--fail-fast]\n\
                  \x20              [--family-node-budget N] [--family-op-budget N] [--family-deadline-ms MS]\n\
                  \x20              [--bdd-order registration|dfs|bfs]\n\
-                 \x20              [--modular] [--abstraction off|prove-only|full]\n\
+                 \x20              [--modular] [--schedule roundrobin|deps] [--stream]\n\
                  \x20 hoyan diff   <dirA> <dirB> [--k K] [--threads N]\n\
                  \x20 hoyan audit  <before-dir> <after-dir> [--k K] [--prefix P ...]\n\
                  \x20 hoyan tune   <dir>\n\

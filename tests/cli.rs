@@ -270,6 +270,12 @@ fn unparsable_numeric_flags_exit_with_usage_code_2() {
         &["sweep", d, "--threads"],
         &["sweep", d, "--k", "--threads", "2"],
         &["serve", d, "--workers", "0"],
+        // An unknown `sweep` flag — a typo or a retired flag — must not
+        // silently run a different sweep.
+        &["sweep", d, "--bogus-flag"],
+        &["sweep", d, "--modualr"],
+        &["sweep", d, "--abstraction", "full"],
+        &["sweep", d, "--k", "1", "--bogus=3"],
     ];
     for args in cases {
         let out = hoyan().args(*args).output().unwrap();
@@ -364,4 +370,59 @@ fn incremental_sweep_matches_fresh_sweep_output() {
     assert!(!json.contains("\"verify.families_reused\": 0"), "{json}");
     let _ = std::fs::remove_dir_all(&a);
     let _ = std::fs::remove_dir_all(&b);
+}
+
+/// `sweep --baseline` runs the baseline pass under the same sweep options
+/// as the target pass, so its output matches a from-scratch sweep even
+/// when the options quarantine families.
+#[test]
+fn incremental_sweep_honours_sweep_options() {
+    let dir = tempdir("baseopts");
+    let d = dir.to_str().unwrap();
+    let out = hoyan()
+        .args(["gen", d, "--size", "tiny", "--seed", "5"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let run = |extra: &[&str]| {
+        let out = hoyan()
+            .args(["sweep", d, "--k", "1", "--threads", "2", "--family-op-budget", "1"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout).to_string()
+    };
+    let fresh = run(&[]);
+    let incr = run(&["--baseline", d]);
+    assert!(fresh.contains("4 family(ies) quarantined"), "{fresh}");
+    assert!(incr.contains("0 reused"), "{incr}");
+    let body = |s: &str| s.lines().skip(1).map(String::from).collect::<Vec<_>>();
+    assert_eq!(body(&fresh), body(&incr));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `sweep` accepts every flag it documents, in both spellings, and
+/// `--help` lists them.
+#[test]
+fn sweep_accepts_and_documents_its_flags() {
+    let dir = tempdir("flags");
+    let d = dir.to_str().unwrap();
+    let out = hoyan()
+        .args(["gen", d, "--size", "tiny", "--seed", "7"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = hoyan()
+        .args(["sweep", d, "--k=1", "--threads", "2", "--modular", "--schedule=deps"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let help = hoyan().arg("--help").output().unwrap();
+    let help = String::from_utf8_lossy(&help.stdout);
+    assert!(help.contains("--schedule roundrobin|deps"), "{help}");
+    assert!(help.contains("--stream"), "{help}");
+    assert!(!help.contains("--abstraction"), "{help}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,8 +5,7 @@
 //! the guarantee on a seeded topogen WAN.
 
 use hoyan::core::{
-    AbstractionMode, FamilyOutcome, PrefixReport, StreamedFamily, SweepOptions, SweepSchedule,
-    Verifier,
+    FamilyOutcome, PrefixReport, StreamedFamily, SweepOptions, SweepSchedule, Verifier,
 };
 use hoyan::device::VsbProfile;
 use hoyan::logic::BddOrdering;
@@ -108,56 +107,19 @@ fn sweep_verdicts_are_ordering_and_thread_invariant() {
     }
 }
 
-/// The modular pipeline's headline soundness pin: with the default
-/// `prove-only` abstraction, `sweep --modular` must produce a report list
-/// *byte-identical* (modulo wall-clock timings) to the monolithic sweep —
-/// at 1, 2 and 8 threads. The abstract first pass may only ever add
-/// provenance, never change a verdict, a scope, a pruning count or a
-/// formula size.
-#[test]
-fn modular_prove_only_matches_monolithic_at_any_thread_count() {
-    let wan = WanSpec::tiny(9).build();
-    let verifier = Verifier::new(wan.configs, VsbProfile::ground_truth, Some(1)).unwrap();
-    let monolithic = verifier.verify_all_routes(1, 1).unwrap();
-    assert!(!monolithic.reports.is_empty());
-    assert!(monolithic.provenance.is_empty(), "monolithic sweeps carry no provenance");
-    let opts = SweepOptions {
-        modular: true,
-        abstraction: AbstractionMode::ProveOnly,
-        ..SweepOptions::default()
-    };
-    for threads in [1usize, 2, 8] {
-        let modular = verifier.verify_all_routes_opts(1, threads, &opts).unwrap();
-        assert_reports_equal(
-            &monolithic.reports,
-            &modular.reports,
-            &format!("modular prove-only, threads={threads}"),
-        );
-        assert_eq!(
-            monolithic.quarantined, modular.quarantined,
-            "quarantined sets must match (threads={threads})"
-        );
-        // Provenance covers every completed family and is index-ordered.
-        assert_eq!(modular.provenance.len(), verifier.families().len());
-        assert!(modular
-            .provenance
-            .windows(2)
-            .all(|w| w[0].index < w[1].index));
-    }
-}
-
-/// `--abstraction full` skips the exact stage for proved families, so the
+/// `--modular` skips the exact stage for proved families, so the
 /// formula-size/stat fields may legitimately differ — but the *verdicts*
 /// (scope, fragile sets) must match the monolithic sweep, and the whole
-/// report must be thread-count invariant.
+/// report, quarantined set and provenance must be thread-count invariant.
 #[test]
 fn modular_full_verdicts_match_and_are_thread_invariant() {
     let wan = WanSpec::tiny(13).build();
     let verifier = Verifier::new(wan.configs, VsbProfile::ground_truth, Some(1)).unwrap();
-    let monolithic = verifier.verify_all_routes(1, 1).unwrap().reports;
+    let monolithic = verifier.verify_all_routes(1, 1).unwrap();
+    assert!(monolithic.provenance.is_empty(), "monolithic sweeps carry no provenance");
+    let monolithic = monolithic.reports;
     let opts = SweepOptions {
         modular: true,
-        abstraction: AbstractionMode::Full,
         ..SweepOptions::default()
     };
     let serial = verifier.verify_all_routes_opts(1, 1, &opts).unwrap();
@@ -176,6 +138,9 @@ fn modular_full_verdicts_match_and_are_thread_invariant() {
             .any(|p| p.outcome == FamilyOutcome::ProvedAbstract),
         "no family was abstract-proved on the fixture"
     );
+    // Provenance covers every completed family and is index-ordered.
+    assert_eq!(serial.provenance.len(), verifier.families().len());
+    assert!(serial.provenance.windows(2).all(|w| w[0].index < w[1].index));
     for threads in [2usize, 8] {
         let parallel = verifier.verify_all_routes_opts(1, threads, &opts).unwrap();
         assert_reports_equal(
@@ -183,18 +148,9 @@ fn modular_full_verdicts_match_and_are_thread_invariant() {
             &parallel.reports,
             &format!("modular full, threads=1 vs {threads}"),
         );
+        assert_eq!(serial.quarantined, parallel.quarantined, "threads={threads}");
         assert_eq!(serial.provenance, parallel.provenance, "threads={threads}");
     }
-    // `--abstraction off` under `--modular` degenerates to the monolithic
-    // sweep: same reports, no provenance.
-    let off = SweepOptions {
-        modular: true,
-        abstraction: AbstractionMode::Off,
-        ..SweepOptions::default()
-    };
-    let off_report = verifier.verify_all_routes_opts(1, 2, &off).unwrap();
-    assert_reports_equal(&monolithic, &off_report.reports, "abstraction=off");
-    assert!(off_report.provenance.is_empty());
 }
 
 /// A multi-region fixture big enough for the dependency planner to emit
@@ -240,13 +196,16 @@ fn deps_schedule_matches_roundrobin_and_is_thread_invariant() {
 
 /// The streaming sink must see exactly the families the materialized sweep
 /// reports — same verdicts, same costs in aggregate, every family index
-/// exactly once — under both schedules.
+/// exactly once — under both schedules, at 1, 2 and 8 threads.
 #[test]
 fn streaming_sweep_matches_materialized() {
     let wan = batchy_wan();
     let verifier = Verifier::new(wan.configs, VsbProfile::ground_truth, Some(1)).unwrap();
     let materialized = verifier.verify_all_routes(1, 2).unwrap();
-    for schedule in [SweepSchedule::RoundRobin, SweepSchedule::Deps] {
+    let runs = [SweepSchedule::RoundRobin, SweepSchedule::Deps]
+        .into_iter()
+        .flat_map(|schedule| [1usize, 2, 8].map(|threads| (schedule, threads)));
+    for (schedule, threads) in runs {
         let opts = SweepOptions {
             schedule,
             ..SweepOptions::default()
@@ -255,7 +214,7 @@ fn streaming_sweep_matches_materialized() {
         let mut indices: Vec<usize> = Vec::new();
         let mut quarantined = 0usize;
         let summary = verifier
-            .verify_all_routes_streaming(1, 2, &opts, &mut |item| match item {
+            .verify_all_routes_streaming(1, threads, &opts, &mut |item| match item {
                 StreamedFamily::Done { index, reports: r, .. } => {
                     indices.push(index);
                     reports.extend(r);
@@ -275,7 +234,7 @@ fn streaming_sweep_matches_materialized() {
         assert_reports_equal(
             &materialized.reports,
             &reports,
-            &format!("streaming vs materialized ({schedule:?})"),
+            &format!("streaming vs materialized ({schedule:?}, threads={threads})"),
         );
     }
 }

@@ -14,8 +14,7 @@ use std::sync::Mutex;
 
 use hoyan::config::ConfigSnapshot;
 use hoyan::core::{
-    AbstractionMode, DirtyReason, FamilyBudget, FamilyOutcome, PrefixReport, SimError,
-    SweepOptions, Verifier,
+    DirtyReason, FamilyBudget, FamilyOutcome, PrefixReport, SimError, SweepOptions, Verifier,
 };
 use hoyan::device::VsbProfile;
 use hoyan::rt::fault::{self, FaultKind, FaultPlan};
@@ -261,7 +260,6 @@ fn abstract_stage_faults_quarantine_only_that_family() {
     let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let opts = SweepOptions {
         modular: true,
-        abstraction: AbstractionMode::Full,
         ..SweepOptions::default()
     };
     fault::install(
@@ -321,18 +319,16 @@ fn abstract_stage_faults_quarantine_only_that_family() {
 
 /// A family quarantined by an abstract-stage fault is retried by
 /// `reverify` once the fault clears — on the exact path — and reproduces a
-/// fresh sweep's reports.
+/// fresh sweep: the retried family byte for byte, and the reused families
+/// (whose reports the abstract pass may have synthesized) by verdict.
 #[test]
 fn abstract_fault_reverify_retries_on_exact_path() {
     let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let wan = WanSpec::tiny(9).build();
     let snap = ConfigSnapshot::new(wan.configs.clone());
     let delta = snap.diff(&snap);
-    // Prove-only keeps cached reports byte-identical to exact ones, so the
-    // reused families compare cleanly against a fresh monolithic sweep.
     let opts = SweepOptions {
         modular: true,
-        abstraction: AbstractionMode::ProveOnly,
         ..SweepOptions::default()
     };
     fault::install(FaultPlan::new().at("verify.abstract", &[1], FaultKind::Error));
@@ -342,6 +338,7 @@ fn abstract_fault_reverify_retries_on_exact_path() {
     fault::clear();
     assert_eq!(base.quarantined.len(), 1);
     assert_eq!(cache.len(), n - 1, "quarantined family must not be cached");
+    let retried = base.quarantined[0].prefixes.clone();
 
     let v2 = Verifier::new(wan.configs.clone(), VsbProfile::ground_truth, Some(3)).unwrap();
     let outcome = v2.reverify(&delta, &cache, K, 2).unwrap();
@@ -353,9 +350,25 @@ fn abstract_fault_reverify_retries_on_exact_path() {
         .unwrap()
         .verify_all_routes(K, 2)
         .unwrap();
-    let a: Vec<String> = fresh.reports.iter().map(stable_view).collect();
-    let b: Vec<String> = outcome.reports.iter().map(stable_view).collect();
-    assert_eq!(a, b, "exact-path retry must reproduce the fresh sweep");
+    assert_eq!(fresh.reports.len(), outcome.reports.len());
+    for (f, o) in fresh.reports.iter().zip(&outcome.reports) {
+        assert_eq!(f.prefix, o.prefix);
+        if retried.contains(&f.prefix) {
+            assert_eq!(
+                stable_view(f),
+                stable_view(o),
+                "exact-path retry must reproduce the fresh sweep"
+            );
+        } else {
+            assert_eq!(
+                (&f.scope, &f.fragile),
+                (&o.scope, &o.fragile),
+                "reused family's verdict differs for {}",
+                f.prefix
+            );
+        }
+    }
+    assert!(outcome.reports.iter().any(|r| retried.contains(&r.prefix)));
 }
 
 /// Regression: a family classified *clean* whose cache entry has drifted

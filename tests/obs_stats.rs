@@ -10,6 +10,11 @@
 
 use std::process::Command;
 
+use hoyan::config::ConfigSnapshot;
+use hoyan::core::Verifier;
+use hoyan::device::VsbProfile;
+use hoyan::topogen::WanSpec;
+
 fn hoyan() -> Command {
     Command::new(env!("CARGO_BIN_EXE_hoyan"))
 }
@@ -38,13 +43,8 @@ fn sweep_stats_json(dir: &std::path::Path, threads: &str, tag: &str) -> String {
 }
 
 /// Like [`sweep_stats_json`] but running the modular pipeline
-/// (`--modular --abstraction <mode>`).
-fn sweep_stats_json_modular(
-    dir: &std::path::Path,
-    threads: &str,
-    tag: &str,
-    abstraction: &str,
-) -> String {
+/// (`--modular`).
+fn sweep_stats_json_modular(dir: &std::path::Path, threads: &str, tag: &str) -> String {
     let json_path = dir.join(format!("stats-{tag}.json"));
     let out = hoyan()
         .args([
@@ -55,8 +55,6 @@ fn sweep_stats_json_modular(
             "--threads",
             threads,
             "--modular",
-            "--abstraction",
-            abstraction,
             "--stats-json",
             json_path.to_str().unwrap(),
         ])
@@ -119,10 +117,10 @@ fn counters_are_identical_across_runs_and_thread_counts() {
     assert!(out.status.success());
 
     let full = sweep_stats_json(&dir, "1", "t1");
-    // Schema v2: the version marker, the flight-recorder drop counter, the
+    // Schema v3: the version marker, the flight-recorder drop counter, the
     // shared-base attribution counter and the family_cost section are all
     // pinned into every export.
-    assert!(full.contains("\"schema\": 2,"), "{full}");
+    assert!(full.contains("\"schema\": 3,"), "{full}");
     assert!(full.contains("\"obs.events_dropped\""), "{full}");
     assert!(full.contains("\"verify.shared_base_ops\""), "{full}");
     assert!(full.contains("\"family_cost\""), "{full}");
@@ -165,9 +163,10 @@ fn counters_are_identical_across_runs_and_thread_counts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The modular pipeline's stage counters are pinned into the schema-v2
-/// export — present (zeroed) even on monolithic sweeps — and, like every
-/// counter, byte-identical across thread counts when the pipeline runs.
+/// The modular pipeline's stage counters are pinned into the export —
+/// present (zeroed) even on monolithic sweeps — and, like every counter,
+/// byte-identical across thread counts when the pipeline runs. The region
+/// gauges of the deleted partition stage are gone since schema v3.
 #[test]
 fn modular_stage_counters_are_pinned_and_thread_invariant() {
     let dir = std::env::temp_dir().join(format!("hoyan-obs-mod-{}", std::process::id()));
@@ -179,20 +178,22 @@ fn modular_stage_counters_are_pinned_and_thread_invariant() {
         .unwrap();
     assert!(out.status.success());
 
-    // Monolithic sweep: the counters exist in the schema, both zero, and
-    // the region gauges are pinned too.
+    // Monolithic sweep: the counters exist in the schema, both zero; the
+    // region gauges do not.
     let plain = sweep_stats_json(&dir, "1", "plain");
     assert!(
         plain.contains("\"verify.families_abstract_proved\": 0,"),
         "{plain}"
     );
     assert!(plain.contains("\"verify.families_refined\": 0,"), "{plain}");
-    assert!(plain.contains("\"verify.regions\""), "{plain}");
-    assert!(plain.contains("\"verify.region_boundary_links\""), "{plain}");
+    assert!(!plain.contains("\"verify.regions\""), "{plain}");
+    assert!(!plain.contains("\"verify.region_boundary_links\""), "{plain}");
 
-    // Modular prove-only sweep: every family carries provenance, so the
+    // Modular sweep: every completed family carries provenance, so the
     // two stage counters must sum to the family count.
-    let modular = sweep_stats_json_modular(&dir, "1", "mod-t1", "prove-only");
+    let modular = sweep_stats_json_modular(&dir, "1", "mod-t1");
+    assert!(!modular.contains("\"verify.regions\""), "{modular}");
+    assert!(!modular.contains("\"verify.region_boundary_links\""), "{modular}");
     let count = |json: &str, key: &str| -> u64 {
         let at = json.find(key).unwrap_or_else(|| panic!("no {key} in {json}"));
         json[at + key.len()..]
@@ -209,27 +210,18 @@ fn modular_stage_counters_are_pinned_and_thread_invariant() {
     assert_eq!(proved + refined, families, "{modular}");
     assert!(proved > 0, "abstract pass settled nothing on the fixture");
 
-    // Thread-count invariance of the whole counter/histogram section, in
-    // both prove-only and full mode.
-    for mode in ["prove-only", "full"] {
-        let baseline = deterministic_sections(&sweep_stats_json_modular(
+    // Thread-count invariance of the whole counter/histogram section.
+    let baseline = deterministic_sections(&modular);
+    for threads in ["2", "8"] {
+        let got = deterministic_sections(&sweep_stats_json_modular(
             &dir,
-            "1",
-            &format!("{mode}-t1"),
-            mode,
+            threads,
+            &format!("mod-t{threads}"),
         ));
-        for threads in ["2", "8"] {
-            let got = deterministic_sections(&sweep_stats_json_modular(
-                &dir,
-                threads,
-                &format!("{mode}-t{threads}"),
-                mode,
-            ));
-            assert_eq!(
-                baseline, got,
-                "mode={mode}: counters must not depend on threads={threads}"
-            );
-        }
+        assert_eq!(
+            baseline, got,
+            "counters must not depend on threads={threads}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -354,4 +346,40 @@ fn counters_are_thread_invariant_under_each_ordering() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `verify.sweep_*` gauges describe one sweep. Two sweeps on one
+/// `Verifier` each publish their own totals, so `verify.sweep_delivered`
+/// equals the sweep's `propagate.delivered` delta. A `reverify` counts its
+/// replayed families too, so its gauges match a fresh sweep.
+#[test]
+fn sweep_gauges_describe_one_sweep() {
+    let wan = WanSpec::tiny(11).build();
+    let v = Verifier::new(wan.configs.clone(), VsbProfile::ground_truth, Some(3)).unwrap();
+    let delivered = || hoyan::obs::counter_values()["propagate.delivered"];
+    let gauges = || {
+        let g = hoyan::obs::gauge_values();
+        [
+            g["verify.sweep_delivered"],
+            g["verify.sweep_dropped"],
+            g["verify.sweep_max_formula_len"],
+        ]
+    };
+    let mut swept = Vec::new();
+    for sweep in 0..2 {
+        let before = delivered();
+        let (report, cache) = v.verify_all_routes_cached(1, 2).unwrap();
+        assert!(report.quarantined.is_empty());
+        let delta = delivered() - before;
+        assert!(delta > 0, "the fixture must deliver routes");
+        assert_eq!(gauges()[0], delta, "sweep {sweep}");
+        swept.push((gauges(), cache));
+    }
+    let (fresh, cache) = swept.pop().unwrap();
+    assert_eq!(swept[0].0, fresh, "two identical sweeps publish equal gauges");
+
+    let snap = ConfigSnapshot::new(wan.configs);
+    let outcome = v.reverify(&snap.diff(&snap), &cache, 1, 2).unwrap();
+    assert_eq!(outcome.reused, v.families().len(), "empty delta replays everything");
+    assert_eq!(gauges(), fresh, "a replaying reverify matches a fresh sweep");
 }
