@@ -53,7 +53,7 @@ use hoyan_baselines::{BatfishLike, MinesweeperLike, PlanktonLike};
 use hoyan_bench::{fmt_dur, Cdf};
 use hoyan_config::ConfigSnapshot;
 use hoyan_core::{
-    packet_reach, NetworkModel, StreamedFamily, SweepOptions, SweepSchedule, Verifier,
+    packet_reach, NetworkModel, StreamedFamily, SweepOptions, Verifier,
 };
 use hoyan_device::{Packet, VsbProfile};
 use hoyan_nettypes::{Ipv4Prefix, NodeId};
@@ -1133,12 +1133,11 @@ fn modular(quick: bool) {
 // --------------------------------------------------- Paper-scale WAN sweep
 
 /// The Table-3-scale campaign: the `wan-paper` fixture (O(100) routers,
-/// O(10k) prefixes) swept three ways — round-robin exact (the baseline
-/// bill), dependency-aware scheduling through the *streaming* API (same
-/// verdicts, fewer BDD ops, bounded resident report memory), and the
-/// modular pipeline on the deps schedule. All three must agree on every
-/// verdict; the deps schedule must beat round-robin on `bdd.ops` and ITE
-/// hit rate. Writes `BENCH_wan.json`.
+/// O(10k) prefixes) swept three ways — materialized (the CLI's default
+/// sweep), through the *streaming* API (same batches, so the same
+/// verdicts and counters, with bounded resident report memory), and
+/// through the modular pipeline. All three must agree on every verdict.
+/// Writes `BENCH_wan.json`.
 fn wan_sweep(quick: bool) {
     let spec = if quick { WanSpec::small(42) } else { WanSpec::wan_paper(42) };
     let wan = spec.build();
@@ -1155,39 +1154,24 @@ fn wan_sweep(quick: bool) {
     let verifier =
         Verifier::new(wan.configs.clone(), VsbProfile::ground_truth, Some(3)).expect("verifier");
     let families = verifier.families().len();
+    let hit_rate = |hits: u64, misses: u64| 100.0 * hits as f64 / (hits + misses).max(1) as f64;
 
-    // Window 1: round-robin exact sweep — the schedule the deps planner
-    // has to beat on the same workload.
+    // Window 1: the materialized sweep `hoyan sweep` runs.
     hoyan_obs::reset_metrics();
     let t0 = Instant::now();
-    let rr = verifier.verify_all_routes(k, threads).expect("roundrobin sweep");
-    let rr_wall = t0.elapsed();
-    let counters = hoyan_obs::counter_values();
-    let rr_ops = counters["bdd.ops"];
-    let rr_hits = counters["bdd.ite_cache_hits"];
-    let rr_misses = counters["bdd.ite_cache_misses"];
-    let rr_snapshot = hoyan_obs::export_json();
-    let hit_rate = |hits: u64, misses: u64| 100.0 * hits as f64 / (hits + misses).max(1) as f64;
-    println!(
-        " roundrobin: {} on {threads} threads | {} prefixes | bdd.ops {rr_ops} | ITE hit rate {:.1}%",
-        fmt_dur(rr_wall),
-        rr.reports.len(),
-        hit_rate(rr_hits, rr_misses)
-    );
+    let swept = verifier.verify_all_routes(k, threads).expect("sweep");
+    let deps_wall = t0.elapsed();
+    let materialized_counters = hoyan_obs::counter_values();
 
-    // Window 2: dependency-aware schedule, consumed through the streaming
-    // API — per-family results leave through the sink as they finish, so
-    // peak resident report memory is O(workers), not O(families).
-    let deps_opts = SweepOptions {
-        schedule: SweepSchedule::Deps,
-        ..SweepOptions::default()
-    };
+    // Window 2: the same sweep consumed through the streaming API —
+    // per-family results leave through the sink as they finish, so peak
+    // resident report memory is O(workers), not O(families).
     hoyan_obs::reset_metrics();
     let t0 = Instant::now();
     let mut streamed: Vec<(Ipv4Prefix, Vec<NodeId>, Vec<NodeId>)> = Vec::new();
     let mut streamed_quarantined = 0usize;
     let summary = verifier
-        .verify_all_routes_streaming(k, threads, &deps_opts, &mut |item| match item {
+        .verify_all_routes_streaming(k, threads, &SweepOptions::default(), &mut |item| match item {
             StreamedFamily::Done { reports, .. } => {
                 for r in reports {
                     streamed.push((r.prefix, r.scope, r.fragile));
@@ -1195,8 +1179,8 @@ fn wan_sweep(quick: bool) {
             }
             StreamedFamily::Quarantined(_) => streamed_quarantined += 1,
         })
-        .expect("deps sweep");
-    let deps_wall = t0.elapsed();
+        .expect("streaming sweep");
+    let streaming_wall = t0.elapsed();
     let counters = hoyan_obs::counter_values();
     let deps_ops = counters["bdd.ops"];
     let deps_hits = counters["bdd.ite_cache_hits"];
@@ -1205,41 +1189,37 @@ fn wan_sweep(quick: bool) {
     let sched_steals = hoyan_obs::gauge_values()["verify.sched_steals"];
     let deps_snapshot = hoyan_obs::export_json();
     println!(
-        " deps:       {} on {threads} threads | bdd.ops {deps_ops} | ITE hit rate {:.1}% \
-         | {sched_batches} batches, {sched_steals} steals",
+        " sweep:      {} materialized, {} streaming, on {threads} threads | {} prefixes \
+         | bdd.ops {deps_ops} | ITE hit rate {:.1}% | {sched_batches} batches, {sched_steals} steals",
         fmt_dur(deps_wall),
+        fmt_dur(streaming_wall),
+        swept.reports.len(),
         hit_rate(deps_hits, deps_misses)
     );
+    // Streaming is only another merger over the same batches: the work,
+    // and so every counter, must not change.
+    assert_eq!(
+        materialized_counters, counters,
+        "streaming and materialized sweeps must count the same work"
+    );
 
-    // Verdict equivalence: the streamed deps sweep must answer exactly
-    // what the materialized round-robin sweep answered.
+    // Verdict equivalence: the streamed sweep must answer exactly what
+    // the materialized sweep answered.
     assert_eq!(streamed_quarantined, 0, "wan-paper fixture must sweep clean");
     assert_eq!(summary.quarantined, 0);
-    assert_eq!(summary.prefixes, rr.reports.len());
+    assert_eq!(summary.prefixes, swept.reports.len());
     streamed.sort_by_key(|(p, _, _)| *p);
-    assert_eq!(rr.reports.len(), streamed.len());
-    for (e, (p, scope, fragile)) in rr.reports.iter().zip(&streamed) {
+    assert_eq!(swept.reports.len(), streamed.len());
+    for (e, (p, scope, fragile)) in swept.reports.iter().zip(&streamed) {
         assert_eq!(e.prefix, *p);
-        assert_eq!(&e.scope, scope, "deps scope differs for {}", e.prefix);
-        assert_eq!(&e.fragile, fragile, "deps fragility differs for {}", e.prefix);
+        assert_eq!(&e.scope, scope, "streamed scope differs for {}", e.prefix);
+        assert_eq!(&e.fragile, fragile, "streamed fragility differs for {}", e.prefix);
     }
 
-    // The point of the schedule: families sharing origin footprints land
-    // back-to-back on a warm arena, so the ITE cache keeps paying out.
-    assert!(
-        deps_ops < rr_ops,
-        "deps schedule must cut bdd.ops (deps {deps_ops} vs roundrobin {rr_ops})"
-    );
-    assert!(
-        hit_rate(deps_hits, deps_misses) > hit_rate(rr_hits, rr_misses),
-        "deps schedule must raise the ITE hit rate"
-    );
-
-    // Window 3: the modular pipeline rides the same schedule — abstract
-    // first pass plus warm chaining must stay under the round-robin bill.
+    // Window 3: the modular pipeline — the abstract first pass must stay
+    // under the exact sweep's bill.
     let mod_opts = SweepOptions {
         modular: true,
-        schedule: SweepSchedule::Deps,
         ..SweepOptions::default()
     };
     hoyan_obs::reset_metrics();
@@ -1250,11 +1230,11 @@ fn wan_sweep(quick: bool) {
     let modular_wall = t0.elapsed();
     let modular_ops = hoyan_obs::counter_values()["bdd.ops"];
     println!(
-        " modular+deps: {} on {threads} threads | bdd.ops {modular_ops}",
+        " modular:    {} on {threads} threads | bdd.ops {modular_ops}",
         fmt_dur(modular_wall)
     );
-    assert_eq!(rr.reports.len(), modular.reports.len());
-    for (e, m) in rr.reports.iter().zip(&modular.reports) {
+    assert_eq!(swept.reports.len(), modular.reports.len());
+    for (e, m) in swept.reports.iter().zip(&modular.reports) {
         assert_eq!(e.prefix, m.prefix);
         assert_eq!(e.scope, m.scope, "modular scope differs for {}", e.prefix);
         assert_eq!(e.fragile, m.fragile, "modular fragility differs for {}", e.prefix);
@@ -1264,9 +1244,9 @@ fn wan_sweep(quick: bool) {
     // so the ordering is only a claim at paper scale.
     if !quick {
         assert!(
-            modular_ops < rr_ops,
-            "modular+deps must stay under the round-robin bill \
-             (modular {modular_ops} vs roundrobin {rr_ops})"
+            modular_ops < deps_ops,
+            "modular must stay under the exact sweep's bill \
+             (modular {modular_ops} vs exact {deps_ops})"
         );
     }
 
@@ -1278,18 +1258,17 @@ fn wan_sweep(quick: bool) {
     // committed file instead). Wall times live outside `counters` so the
     // strict gate never sees them.
     suite.set_metrics_json(format!(
-        "{{\n    \"sweep_roundrobin\": {rr_snapshot},\n    \"sweep_deps\": {deps_snapshot},\n    \
+        "{{\n    \"sweep_deps\": {deps_snapshot},\n    \
          \"summary\": {{\"counters\": {{\
          \"families\": {families}, \"prefixes\": {}, \
-         \"rr_bdd_ops\": {rr_ops}, \"rr_ite_hits\": {rr_hits}, \"rr_ite_misses\": {rr_misses}, \
          \"deps_bdd_ops\": {deps_ops}, \"deps_ite_hits\": {deps_hits}, \
          \"deps_ite_misses\": {deps_misses}, \
          \"sched_batches\": {sched_batches}, \"modular_bdd_ops\": {modular_ops}}}, \
          \"gauges\": {{\"sched_steals\": {sched_steals}}}, \
-         \"wall\": {{\"roundrobin_ms\": {}, \"deps_ms\": {}, \"modular_ms\": {}}}}}\n  }}",
-        rr.reports.len(),
-        rr_wall.as_millis(),
+         \"wall\": {{\"deps_ms\": {}, \"streaming_ms\": {}, \"modular_ms\": {}}}}}\n  }}",
+        swept.reports.len(),
         deps_wall.as_millis(),
+        streaming_wall.as_millis(),
         modular_wall.as_millis()
     ));
     suite.finish();

@@ -46,5 +46,5 @@ pub use topology::{Topology, TopologyError};
 pub use verify::{
     EquivalenceReport, FamilyBudget, FamilyCost, FamilyOutcome, FamilyProvenance, PrefixReport,
     QuarantinedFamily, ReachReport, ReverifyOutcome, StreamSummary, StreamedFamily, SweepOptions,
-    SweepReport, SweepSchedule, Verifier, VerifierError,
+    SweepReport, Verifier, VerifierError,
 };

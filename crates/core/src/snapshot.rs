@@ -266,6 +266,10 @@ pub struct CachedFamily {
     /// later `reverify` can attribute reused families (at zero marginal
     /// cost) alongside recomputed ones.
     pub cost: crate::verify::FamilyCost,
+    /// The modular pipeline's stage provenance for the family (`None`
+    /// outside it). Carried so a `reverify` that replays the family reports
+    /// the same provenance as a fresh sweep.
+    pub provenance: Option<crate::verify::FamilyOutcome>,
 }
 
 /// The sweep cache: every family's reports and dependency footprint at one

@@ -269,7 +269,8 @@ pub struct SweepReport {
 /// Which pipeline stage settled one family of a modular sweep.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FamilyProvenance {
-    /// Index into the sweep's family list.
+    /// Index into the sweep's family list (for [`Verifier::reverify`], into
+    /// its classification list).
     pub index: usize,
     /// The family's prefixes, sorted.
     pub prefixes: Vec<Ipv4Prefix>,
@@ -278,11 +279,21 @@ pub struct FamilyProvenance {
 }
 
 /// Per-family resource caps for a sweep. The node and op caps are
-/// *operation-counted*: they trip at the same point in the family's own
-/// work regardless of machine speed, scheduling or thread count, so the
-/// quarantined set stays deterministic. The deadline is the one wall-clock
-/// escape hatch and is off by default precisely because it breaks that
-/// contract.
+/// *operation-counted*, never clock-driven. A sweep runs its families in
+/// batches chained on one warm arena (see [`Verifier::sweep_core`]), and
+/// that chaining shapes what each cap sees:
+///
+/// - The node cap counts live nodes above the shared base. That includes
+///   the batch's still-live predecessor nodes until a GC reclaims them.
+/// - The op cap bills only the family's own ops. A warm arena makes them
+///   fewer, since predecessors already filled the caches.
+///
+/// Batches are planned from the family list alone and always run front to
+/// back on one arena, so verdicts (the quarantined set included) are
+/// deterministic for a given family list at any thread count. The same
+/// family may trip in one list and pass in another, for instance in a
+/// `reverify` dirty list. The deadline is the one wall-clock escape hatch
+/// and is off by default precisely because it breaks that contract.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FamilyBudget {
     /// Cap on live BDD nodes per family (deterministic).
@@ -303,30 +314,11 @@ impl FamilyBudget {
     }
 }
 
-/// How a sweep hands families to workers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SweepSchedule {
-    /// A bare atomic claim counter: the next free worker takes the next
-    /// family index, and the arena is recycled between families. The
-    /// historical behavior and the default.
-    #[default]
-    RoundRobin,
-    /// Dependency-aware batching: families whose pre-simulation origin
-    /// footprints ([`crate::snapshot::OriginIndex`]) overlap are grouped
-    /// into batches run back-to-back on one arena *without* recycling —
-    /// consecutive families re-hit the ITE cache and unique table they
-    /// share. Batches are planned deterministically up front and stolen
-    /// whole between per-worker deques, so reports and counters stay
-    /// identical to `RoundRobin` at any thread count; only the work (and
-    /// the `bdd.ops` / `bdd.ite_cache_*` bill) shrinks.
-    Deps,
-}
-
-/// Maximum families per [`SweepSchedule::Deps`] batch. Bounds how much
-/// warm-arena state a chain accumulates (under warm chaining the node
-/// budget sees predecessors' still-live nodes until a GC) and keeps
-/// enough batches in flight to spread across workers.
-const DEPS_BATCH_MAX: usize = 16;
+/// Maximum families per sweep batch. Bounds how much warm-arena state a
+/// chain accumulates (under warm chaining the node budget sees
+/// predecessors' still-live nodes until a GC) and keeps enough batches in
+/// flight to spread across workers.
+const BATCH_MAX: usize = 16;
 
 /// One unit of a streaming sweep's output, handed to the caller's sink as
 /// soon as it exists instead of being accumulated in memory — the point of
@@ -379,8 +371,6 @@ pub struct SweepOptions {
     /// anything inconclusive falls through to the exact stage). Off by
     /// default.
     pub modular: bool,
-    /// How families are scheduled onto workers.
-    pub schedule: SweepSchedule,
 }
 
 /// How one family failed inside the sweep, before it is folded into a
@@ -1013,16 +1003,18 @@ impl Verifier {
         }
     }
 
-    /// Plans the [`SweepSchedule::Deps`] batches: families that share an
-    /// origin device (per [`crate::snapshot::OriginIndex`] — the
-    /// pre-simulation footprint, so no simulation is needed to plan) are
-    /// unioned into clusters, and each cluster is split into runs of at
-    /// most [`DEPS_BATCH_MAX`] families. A batch is the unit of both
-    /// warmth and stealing: it always executes front-to-back on one arena,
-    /// so its ITE-cache reuse is identical wherever it lands. The plan is
-    /// computed on the calling thread from the family list and the configs
-    /// alone — thread-count invariant, like every counter derived from it.
-    fn plan_batches(&self, families: &[Vec<Ipv4Prefix>]) -> Vec<Vec<usize>> {
+    /// Plans the sweep's batches: families that share an origin device
+    /// (per [`crate::snapshot::OriginIndex`] — the pre-simulation
+    /// footprint, so no simulation is needed to plan) are unioned into
+    /// clusters, and each cluster is split into runs of at most
+    /// [`BATCH_MAX`] families, listed in ascending family index. A batch
+    /// is the unit of both warmth and stealing: it always executes
+    /// front-to-back on one arena, so its ITE-cache reuse is identical
+    /// wherever it lands. The plan is computed on the calling thread from
+    /// the family list and the configs alone — thread-count invariant,
+    /// like every counter derived from it. Batch `b` homes on worker
+    /// `b % threads`; the result lists family indices into `families`.
+    pub fn plan_batches(&self, families: &[Vec<Ipv4Prefix>]) -> Vec<Vec<usize>> {
         let _sp = hoyan_obs::span("verify.schedule");
         let origins = crate::snapshot::OriginIndex::build(&self.net);
         // Union-find over family indices keyed by shared origin device.
@@ -1063,7 +1055,7 @@ impl Verifier {
         }
         let mut batches = Vec::new();
         for members in clusters.into_values() {
-            for chunk in members.chunks(DEPS_BATCH_MAX) {
+            for chunk in members.chunks(BATCH_MAX) {
                 batches.push(chunk.to_vec());
             }
         }
@@ -1073,6 +1065,10 @@ impl Verifier {
     /// The sweep core every entry point shares: simulates the given prefix
     /// families at budget `k` on `threads` scoped `std::thread`s (CPU-bound
     /// work, no async runtime) and hands each completed family to `merge`.
+    /// Families sharing origin devices run back-to-back in batches
+    /// ([`Verifier::plan_batches`]) on one warm BDD arena, so they re-hit
+    /// the ITE cache and unique table they share; an idle worker steals a
+    /// whole batch from a busy peer.
     /// The merger runs on the calling thread, fed through a channel bounded
     /// at two families per worker: a slow merger backpressures the workers,
     /// and at most O(threads) finished families wait in memory. Families
@@ -1082,15 +1078,12 @@ impl Verifier {
     /// Fault tolerance: each family runs under `catch_unwind`; an error,
     /// budget breach or panic quarantines *that family only* and the rest
     /// of the sweep completes. With [`SweepOptions::fail_fast`] the sweep
-    /// instead aborts like the pre-quarantine implementation — but failures
-    /// are recorded keyed by family index, so the surfaced error is the
-    /// *lowest-index* failing family at any thread count (under the
-    /// round-robin schedule claims are issued in index order, so once a
-    /// failure at index `j` stops the claim counter, every index below it
-    /// has been claimed and its outcome recorded before the workers drain;
-    /// under [`SweepSchedule::Deps`] the surfaced error is the lowest
-    /// *recorded* failing index, which can vary with the thread count —
-    /// prefer the default schedule with `fail_fast`).
+    /// instead aborts with the error of the *lowest-index* failing family,
+    /// at any thread count. Workers track the lowest failing index seen so
+    /// far and skip only the families above it, so every family below the
+    /// true lowest failure still runs — and, since a batch lists its
+    /// families in ascending index, with the same warm predecessors as in
+    /// a full sweep.
     ///
     /// Determinism: a family reaches the merger whole (all its reports at
     /// once), and the quarantine, provenance and cost records are published
@@ -1111,7 +1104,7 @@ impl Verifier {
         units: Option<&[usize]>,
         merge: &mut dyn FnMut(FamilySweep),
     ) -> Result<Vec<QuarantinedFamily>, SimError> {
-        use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+        use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
         let _sweep = hoyan_obs::span("verify.sweep");
         // Fan-out occupancy: thread-count-dependent by nature, so a gauge
         // (the determinism contract covers counters/histograms only).
@@ -1121,12 +1114,13 @@ impl Verifier {
             Some(u) => u[i] as u64,
             None => i as u64,
         };
-        let next = AtomicUsize::new(0);
         // Recorder worker ids (for the opt-in `--timing` trace only; with
         // timing off the trace never exposes worker identity).
         let worker_seq = AtomicUsize::new(0);
-        // Armed only under fail-fast: quarantine never stops peers.
-        let failed = AtomicBool::new(false);
+        // Fail-fast only: the lowest failing family index seen so far. It
+        // publishes no other data (the failures sit behind their mutex);
+        // the Acquire loads pair with the AcqRel `fetch_min`.
+        let lowest_failure = AtomicUsize::new(usize::MAX);
         // Failures keyed by family index: the map, not lock-acquisition
         // order, decides which error fail-fast surfaces.
         let failures = std::sync::Mutex::new(std::collections::BTreeMap::<usize, FamilyFailure>::new());
@@ -1139,31 +1133,18 @@ impl Verifier {
         // calling thread, so the value is thread-count invariant.
         hoyan_obs::metric!(counter "verify.shared_base_ops").add(base.construction_ops());
         let nw = threads.max(1);
-        // The dependency-aware plan (None = round-robin claim counter).
         // Planned on the calling thread, so the batch count — a counter,
         // covered by the determinism contract — never depends on `nw`.
-        let plan = match opts.schedule {
-            SweepSchedule::RoundRobin => None,
-            SweepSchedule::Deps => Some(self.plan_batches(families)),
-        };
-        if let Some(batches) = &plan {
-            hoyan_obs::metric!(counter "verify.sched_batches").add(batches.len() as u64);
-        }
+        let batches = self.plan_batches(families);
+        hoyan_obs::metric!(counter "verify.sched_batches").add(batches.len() as u64);
         // Per-worker batch deques: batch `b` homes on worker `b % nw`; an
         // idle worker steals a *whole* batch from the back of the nearest
         // busy peer. How batches land on workers is timing-dependent, but
         // a batch's contents and order are not — so only the steal tally
         // (a gauge) varies with scheduling, never a counter.
-        let deques: Vec<std::sync::Mutex<std::collections::VecDeque<usize>>> =
-            (0..nw).map(|_| Default::default()).collect();
-        if let Some(batches) = &plan {
-            for b in 0..batches.len() {
-                deques[b % nw]
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .push_back(b);
-            }
-        }
+        let deques: Vec<std::sync::Mutex<std::collections::VecDeque<usize>>> = (0..nw)
+            .map(|w| std::sync::Mutex::new((w..batches.len()).step_by(nw).collect()))
+            .collect();
         let steals = AtomicU64::new(0);
         // What the calling thread keeps of each merged family for the
         // post-join, index-ordered publication below.
@@ -1179,14 +1160,17 @@ impl Verifier {
             // state by value.
             let this = self;
             let failures = &failures;
-            let failed = &failed;
-            let next = &next;
+            let lowest_failure = &lowest_failure;
             let worker_seq = &worker_seq;
             let base = &base;
-            let plan = &plan;
+            let batches = &batches;
             let deques = &deques;
             let steals = &steals;
             let unit_of = &unit_of;
+            // Under fail-fast, a family above a recorded failure is neither
+            // run nor published (pre-quarantine semantics).
+            let above_failure =
+                move |i: usize| opts.fail_fast && i > lowest_failure.load(Ordering::Acquire);
             let handles: Vec<_> = (0..nw)
                 .map(|w| {
                     let tx = tx.clone();
@@ -1194,146 +1178,106 @@ impl Verifier {
                         hoyan_obs::set_worker(
                             worker_seq.fetch_add(1, Ordering::Relaxed) as u32
                         );
-                        // One warm BDD arena per worker, recycled between
-                        // families: node/table allocations survive, handles
-                        // and tallies do not (each family still accounts —
-                        // and collects — as if it owned a fresh manager, so
-                        // counters stay identical at any thread count). The
-                        // shared base is imported once per arena (tally-
-                        // excluded) and survives every recycle.
+                        // One warm BDD arena per worker. Each family still
+                        // accounts — and collects — as if it owned its own
+                        // manager, so counters stay identical at any thread
+                        // count. The shared base is imported once per arena
+                        // (tally-excluded) and survives every recycle.
                         let mut arena = BddManager::new();
                         let mut attached = base.attach(&mut arena);
-                        // Deps-schedule worker state: the batch being
-                        // drained, the cursor into it, and whether the
-                        // warm chain from the previous family is intact.
-                        let mut batch: &[usize] = &[];
-                        let mut pos = 0usize;
-                        let mut chain_warm = false;
                         let mut local_steals = 0u64;
-                        loop {
-                            if opts.fail_fast && failed.load(Ordering::Acquire) {
-                                break;
-                            }
-                            // Claim the next family and decide the arena
-                            // temperature it starts at.
-                            let (i, warm) = match plan {
-                                // Round-robin: the bare claim counter;
-                                // every family starts cold.
-                                None => {
-                                    let i = next.fetch_add(1, Ordering::Relaxed);
-                                    if i >= families.len() {
-                                        break;
-                                    }
-                                    (i, false)
-                                }
-                                // Deps: drain the current batch front to
-                                // back (warm after its first family), then
-                                // pop the next home batch or steal one.
-                                Some(batches) => {
-                                    if pos >= batch.len() {
-                                        let Some(b) =
-                                            claim_batch(w, deques, &mut local_steals)
-                                        else {
-                                            break;
-                                        };
-                                        batch = &batches[b];
-                                        pos = 0;
-                                        chain_warm = false;
-                                    }
-                                    let i = batch[pos];
-                                    pos += 1;
-                                    let warm = chain_warm;
-                                    chain_warm = true;
-                                    (i, warm)
-                                }
-                            };
-                            // Arena prep happens at claim time. Cold:
-                            // recycle — flushes the previous segment's
-                            // tallies (a no-op on a pristine arena) and
-                            // drops everything above the shared base.
-                            // Warm: keep nodes and caches, flush tallies
-                            // and restart the per-family accounting, so
-                            // each family still bills exactly its own
-                            // delta (`BddManager::next_family_warm`).
-                            if warm {
-                                arena.next_family_warm();
-                            } else {
-                                arena.recycle();
-                            }
-                            let _fam_span = hoyan_obs::span("verify.family");
-                            hoyan_obs::begin_unit(unit_of(i));
-                            hoyan_obs::record(hoyan_obs::EventKind::FamilyStart);
-                            let work = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                this.run_family(
-                                    std::mem::take(&mut arena),
-                                    &attached,
-                                    &families[i],
-                                    i,
-                                    k,
-                                    opts,
-                                )
-                            }));
-                            let failure = match work {
-                                Ok((Ok(sweep), mgr)) => {
-                                    hoyan_obs::record(hoyan_obs::EventKind::FamilyEnd {
-                                        ops: sweep.cost.ops,
-                                        peak_nodes: sweep.cost.peak_family_nodes,
-                                    });
-                                    // The family's tallies stay on the
-                                    // arena until the next claim recycles
-                                    // or warm-chains it (or Drop flushes at
-                                    // sweep end) — each segment folds into
-                                    // the global counters exactly once
-                                    // either way.
-                                    arena = mgr;
-                                    // Under fail-fast, partial output must
-                                    // not be published past a peer's
-                                    // failure (pre-quarantine semantics).
-                                    if opts.fail_fast && failed.load(Ordering::Acquire) {
-                                        break;
-                                    }
-                                    hoyan_obs::metric!(counter "verify.families").inc();
-                                    hoyan_obs::metric!(counter "verify.prefixes")
-                                        .add(families[i].len() as u64);
-                                    // The bounded send is the backpressure.
-                                    let _ = tx.send(sweep);
+                        while let Some(b) = claim_batch(w, deques, &mut local_steals) {
+                            // A batch starts cold; each later family chains
+                            // warm on its predecessor unless that one failed.
+                            let mut warm = false;
+                            for &i in &batches[b] {
+                                if above_failure(i) {
                                     continue;
                                 }
-                                Ok((Err(e), mgr)) => {
-                                    // The error path hands the arena back
-                                    // (via `into_manager`) with this
-                                    // family's tallies still on it: read
-                                    // the partial cost now; the next
-                                    // claim's recycle flushes it. A warm
-                                    // chain never survives a failure.
-                                    let cost = FamilyCost::from_manager(&mgr, 0);
-                                    hoyan_obs::record(hoyan_obs::EventKind::FamilyEnd {
-                                        ops: cost.ops,
-                                        peak_nodes: cost.peak_family_nodes,
-                                    });
-                                    arena = mgr;
-                                    chain_warm = false;
-                                    FamilyFailure::Error(e, cost)
+                                // Cold: recycle — flushes the previous
+                                // segment's tallies (a no-op on a pristine
+                                // arena) and drops everything above the
+                                // shared base. Warm: keep nodes and caches,
+                                // flush tallies and restart the per-family
+                                // accounting, so each family still bills
+                                // exactly its own delta
+                                // (`BddManager::next_family_warm`).
+                                if warm {
+                                    arena.next_family_warm();
+                                } else {
+                                    arena.recycle();
                                 }
-                                Err(payload) => {
-                                    // The arena unwound with the failed
-                                    // simulation; this worker restarts cold
-                                    // — which means re-importing the base
-                                    // (the old handles died with the arena)
-                                    // — and the warm chain breaks.
-                                    arena = BddManager::new();
-                                    attached = base.attach(&mut arena);
-                                    chain_warm = false;
-                                    FamilyFailure::Panic(payload)
+                                warm = true;
+                                let _fam_span = hoyan_obs::span("verify.family");
+                                hoyan_obs::begin_unit(unit_of(i));
+                                hoyan_obs::record(hoyan_obs::EventKind::FamilyStart);
+                                let work = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                                    this.run_family(
+                                        std::mem::take(&mut arena),
+                                        &attached,
+                                        &families[i],
+                                        i,
+                                        k,
+                                        opts,
+                                    )
+                                }));
+                                let failure = match work {
+                                    Ok((Ok(sweep), mgr)) => {
+                                        hoyan_obs::record(hoyan_obs::EventKind::FamilyEnd {
+                                            ops: sweep.cost.ops,
+                                            peak_nodes: sweep.cost.peak_family_nodes,
+                                        });
+                                        // The family's tallies stay on the
+                                        // arena until the next family
+                                        // recycles or warm-chains it (or
+                                        // Drop flushes at sweep end) — each
+                                        // segment folds into the global
+                                        // counters exactly once either way.
+                                        arena = mgr;
+                                        if above_failure(i) {
+                                            continue;
+                                        }
+                                        hoyan_obs::metric!(counter "verify.families").inc();
+                                        hoyan_obs::metric!(counter "verify.prefixes")
+                                            .add(families[i].len() as u64);
+                                        // The bounded send is the backpressure.
+                                        let _ = tx.send(sweep);
+                                        continue;
+                                    }
+                                    Ok((Err(e), mgr)) => {
+                                        // The error path hands the arena
+                                        // back (via `into_manager`) with this
+                                        // family's tallies still on it: read
+                                        // the partial cost now; the next
+                                        // family's recycle flushes it.
+                                        let cost = FamilyCost::from_manager(&mgr, 0);
+                                        hoyan_obs::record(hoyan_obs::EventKind::FamilyEnd {
+                                            ops: cost.ops,
+                                            peak_nodes: cost.peak_family_nodes,
+                                        });
+                                        arena = mgr;
+                                        warm = false;
+                                        FamilyFailure::Error(e, cost)
+                                    }
+                                    Err(payload) => {
+                                        // The arena unwound with the failed
+                                        // simulation; this worker restarts
+                                        // cold — which means re-importing
+                                        // the base (the old handles died
+                                        // with the arena).
+                                        arena = BddManager::new();
+                                        attached = base.attach(&mut arena);
+                                        warm = false;
+                                        FamilyFailure::Panic(payload)
+                                    }
+                                };
+                                failures
+                                    .lock()
+                                    .unwrap_or_else(|p| p.into_inner())
+                                    .insert(i, failure);
+                                if opts.fail_fast {
+                                    lowest_failure.fetch_min(i, Ordering::AcqRel);
                                 }
-                            };
-                            failures
-                                .lock()
-                                .unwrap_or_else(|p| p.into_inner())
-                                .insert(i, failure);
-                            if opts.fail_fast {
-                                failed.store(true, Ordering::Release);
-                                break;
                             }
                         }
                         steals.fetch_add(local_steals, Ordering::Relaxed);
@@ -1424,10 +1368,7 @@ impl Verifier {
         // How many batches moved between workers: timing-dependent by
         // nature (whichever worker idles first steals), hence a gauge —
         // the counter contract stays thread-count invariant.
-        if plan.is_some() {
-            hoyan_obs::metric!(gauge "verify.sched_steals")
-                .record_max(steals.load(std::sync::atomic::Ordering::Relaxed));
-        }
+        hoyan_obs::metric!(gauge "verify.sched_steals").record_max(steals.load(Ordering::Relaxed));
         // Stage-provenance counters, also bumped once post-join so the
         // modular pipeline keeps the same thread-count-invariance contract.
         hoyan_obs::metric!(counter "verify.families_abstract_proved").add(proved);
@@ -1574,6 +1515,7 @@ impl Verifier {
                 .collect(),
             deps: std::mem::take(&mut f.deps),
             cost: f.cost,
+            provenance: f.provenance.clone(),
         }
     }
 
@@ -1662,8 +1604,12 @@ impl Verifier {
             match replayed {
                 Some(rs) => {
                     // Replayed families count toward this sweep's gauges,
-                    // so they match a from-scratch sweep.
+                    // and keep their stage provenance, so they match a
+                    // from-scratch sweep.
                     acc.add_reports(rs);
+                    if let Some(outcome) = &cf.provenance {
+                        acc.add_provenance(ci, fam, outcome.clone());
+                    }
                     if hoyan_obs::events_enabled() {
                         // Unit ids in a reverify are classification indices;
                         // a reused family is attributed at zero cost (its
@@ -1694,8 +1640,9 @@ impl Verifier {
         hoyan_obs::metric!(counter "verify.families_recomputed").add(dirty.len() as u64);
         let quarantined =
             self.sweep_core(&dirty, k, threads, opts, Some(&dirty_units), &mut |mut f| {
-                new_cache.insert(self.cache_entry(dirty[f.index].clone(), &mut f));
-                acc.add(f, &dirty);
+                let i = f.index;
+                new_cache.insert(self.cache_entry(dirty[i].clone(), &mut f));
+                acc.add_at(f, dirty_units[i], &dirty[i]);
             })?;
         let merged = acc.finish(quarantined);
         Ok(ReverifyOutcome {
@@ -1705,6 +1652,7 @@ impl Verifier {
             reused,
             classifications,
             quarantined: merged.quarantined,
+            provenance: merged.provenance,
         })
     }
 }
@@ -1758,14 +1706,26 @@ impl Collected {
         self.reports.extend(reports);
     }
 
+    /// Records that `prefixes`, family `index`, was settled by `outcome`.
+    fn add_provenance(&mut self, index: usize, prefixes: &[Ipv4Prefix], outcome: FamilyOutcome) {
+        self.provenance.push(FamilyProvenance {
+            index,
+            prefixes: prefixes.to_vec(),
+            outcome,
+        });
+    }
+
     /// Folds in one completed family of `families`.
     fn add(&mut self, f: FamilySweep, families: &[Vec<Ipv4Prefix>]) {
+        let i = f.index;
+        self.add_at(f, i, &families[i]);
+    }
+
+    /// Folds in one completed family, `prefixes`, whose provenance is
+    /// recorded under `index`.
+    fn add_at(&mut self, f: FamilySweep, index: usize, prefixes: &[Ipv4Prefix]) {
         if let Some(outcome) = f.provenance {
-            self.provenance.push(FamilyProvenance {
-                index: f.index,
-                prefixes: families[f.index].clone(),
-                outcome,
-            });
+            self.add_provenance(index, prefixes, outcome);
         }
         self.add_reports(f.reports);
     }
@@ -1802,4 +1762,10 @@ pub struct ReverifyOutcome {
     /// list; the `prefixes` field identifies the family). Not cached, so
     /// the next delta retries them.
     pub quarantined: Vec<QuarantinedFamily>,
+    /// Per-family stage provenance, indexed by classification and in index
+    /// order: which stage settled each family's reports. A replayed family
+    /// carries what its baseline sweep recorded (if that sweep ran
+    /// [`SweepOptions::modular`]), a re-simulated one what this run
+    /// recorded (if it did).
+    pub provenance: Vec<FamilyProvenance>,
 }

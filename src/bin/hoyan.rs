@@ -12,7 +12,7 @@
 //! hoyan sweep  <dir> [--k 1] [--baseline <dirA>] [--fail-fast]
 //!              [--family-node-budget N] [--family-op-budget N]
 //!              [--family-deadline-ms MS] [--bdd-order registration|dfs|bfs]
-//!              [--modular] [--schedule roundrobin|deps] [--stream]
+//!              [--modular] [--stream]
 //! hoyan diff   <dirA> <dirB> [--k 1]
 //! hoyan audit  <before-dir> <after-dir> [--k 1] [--prefix P]...
 //! hoyan tune   <dir>
@@ -35,14 +35,13 @@
 //! operation-counted and deterministic; `--family-deadline-ms` is the one
 //! wall-clock (hence non-deterministic) guard and is opt-in only.
 //!
-//! `sweep --schedule deps` groups prefix families whose origin devices
-//! overlap into batches run back-to-back on one warm BDD arena (shared ITE
-//! cache and unique table), with whole-batch work stealing between workers
-//! — reports are byte-identical to the default `roundrobin` schedule at
-//! any thread count; only the `bdd.*` bill shrinks. `sweep --stream`
-//! prints per-family outcomes as workers finish them and keeps only
-//! running aggregates in memory (peak report memory O(threads), not
-//! O(families)); it does not combine with `--baseline`.
+//! `sweep` groups prefix families whose origin devices overlap into
+//! batches run back-to-back on one warm BDD arena (shared ITE cache and
+//! unique table), with whole-batch work stealing between workers; reports
+//! are identical at any thread count. `sweep --stream` prints per-family
+//! outcomes as workers finish them and keeps only running aggregates in
+//! memory (peak report memory O(threads), not O(families)); it does not
+//! combine with `--baseline`.
 //!
 //! `serve` starts the resident verification daemon: it compiles the
 //! directory once, runs the warm-up sweep, then answers `reach` / `equiv` /
@@ -81,8 +80,7 @@ use std::process::ExitCode;
 
 use hoyan::config::{parse_config, ConfigSnapshot, DeviceConfig};
 use hoyan::core::{
-    FamilyBudget, FamilyOutcome, StreamedFamily, SweepOptions, SweepReport, SweepSchedule,
-    Verifier,
+    FamilyBudget, FamilyOutcome, StreamedFamily, SweepOptions, SweepReport, Verifier,
 };
 use hoyan::device::{Packet, VsbProfile};
 use hoyan::nettypes::Ipv4Prefix;
@@ -330,15 +328,6 @@ fn num_flag(args: &[String], name: &str) -> Result<Option<u64>, CliError> {
 
 fn get_sweep_options(args: &[String]) -> Result<SweepOptions, CliError> {
     let num = |name: &str| num_flag(args, name);
-    let schedule = match flag(args, "--schedule")?.as_deref() {
-        None | Some("roundrobin") => SweepSchedule::RoundRobin,
-        Some("deps") => SweepSchedule::Deps,
-        Some(other) => {
-            return Err(usage(format!(
-                "unknown --schedule `{other}` (roundrobin|deps)"
-            )))
-        }
-    };
     Ok(SweepOptions {
         fail_fast: has_flag(args, "--fail-fast"),
         budget: FamilyBudget {
@@ -347,7 +336,6 @@ fn get_sweep_options(args: &[String]) -> Result<SweepOptions, CliError> {
             deadline_ms: num("--family-deadline-ms")?,
         },
         modular: has_flag(args, "--modular"),
-        schedule,
     })
 }
 
@@ -363,7 +351,6 @@ const SWEEP_FLAGS: &[&str] = &[
     "--family-deadline-ms",
     "--bdd-order",
     "--modular",
-    "--schedule",
     "--stream",
 ];
 
@@ -673,7 +660,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                         SweepReport {
                             reports: outcome.reports,
                             quarantined: outcome.quarantined,
-                            provenance: Vec::new(),
+                            provenance: outcome.provenance,
                         },
                     )
                 }
@@ -880,7 +867,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                  \x20 hoyan sweep  <dir> [--k K] [--threads N] [--baseline <dirA>] [--fail-fast]\n\
                  \x20              [--family-node-budget N] [--family-op-budget N] [--family-deadline-ms MS]\n\
                  \x20              [--bdd-order registration|dfs|bfs]\n\
-                 \x20              [--modular] [--schedule roundrobin|deps] [--stream]\n\
+                 \x20              [--modular] [--stream]\n\
                  \x20 hoyan diff   <dirA> <dirB> [--k K] [--threads N]\n\
                  \x20 hoyan audit  <before-dir> <after-dir> [--k K] [--prefix P ...]\n\
                  \x20 hoyan tune   <dir>\n\

@@ -275,6 +275,7 @@ fn unparsable_numeric_flags_exit_with_usage_code_2() {
         &["sweep", d, "--bogus-flag"],
         &["sweep", d, "--modualr"],
         &["sweep", d, "--abstraction", "full"],
+        &["sweep", d, "--schedule", "deps"],
         &["sweep", d, "--k", "1", "--bogus=3"],
     ];
     for args in cases {
@@ -414,15 +415,52 @@ fn sweep_accepts_and_documents_its_flags() {
         .unwrap();
     assert!(out.status.success());
     let out = hoyan()
-        .args(["sweep", d, "--k=1", "--threads", "2", "--modular", "--schedule=deps"])
+        .args(["sweep", d, "--k=1", "--threads=2", "--modular", "--stream"])
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
     let help = hoyan().arg("--help").output().unwrap();
     let help = String::from_utf8_lossy(&help.stdout);
-    assert!(help.contains("--schedule roundrobin|deps"), "{help}");
+    assert!(help.contains("--modular"), "{help}");
     assert!(help.contains("--stream"), "{help}");
     assert!(!help.contains("--abstraction"), "{help}");
+    assert!(!help.contains("--schedule"), "{help}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `sweep --modular --baseline <same dir>` replays every family from the
+/// baseline cache, provenance included: it prints the same "modular
+/// pipeline" line, and the same body, as a fresh `sweep --modular`.
+#[test]
+fn modular_baseline_sweep_reports_provenance() {
+    let dir = tempdir("modbase");
+    let d = dir.to_str().unwrap();
+    let out = hoyan()
+        .args(["gen", d, "--size", "tiny", "--seed", "7"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let run = |extra: &[&str]| {
+        let out = hoyan()
+            .args(["sweep", d, "--k", "1", "--threads", "2", "--modular"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout).to_string()
+    };
+    let fresh = run(&[]);
+    let incr = run(&["--baseline", d]);
+    assert!(incr.contains("0 family(ies) recomputed"), "{incr}");
+    let line = |s: &str| {
+        s.lines()
+            .find(|l| l.starts_with("modular pipeline:"))
+            .map(String::from)
+    };
+    assert!(line(&fresh).is_some(), "{fresh}");
+    assert_eq!(line(&fresh), line(&incr));
+    let body = |s: &str| s.lines().skip(1).map(String::from).collect::<Vec<_>>();
+    assert_eq!(body(&fresh), body(&incr));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,9 +4,7 @@
 //! reports atomically and sorting the final list by prefix; this test pins
 //! the guarantee on a seeded topogen WAN.
 
-use hoyan::core::{
-    FamilyOutcome, PrefixReport, StreamedFamily, SweepOptions, SweepSchedule, Verifier,
-};
+use hoyan::core::{FamilyOutcome, PrefixReport, StreamedFamily, SweepOptions, Verifier};
 use hoyan::device::VsbProfile;
 use hoyan::logic::BddOrdering;
 use hoyan::topogen::WanSpec;
@@ -168,48 +166,58 @@ fn batchy_wan() -> hoyan::topogen::Wan {
     .build()
 }
 
-/// The dependency-aware schedule is a *performance* knob, not a semantic
-/// one: `--schedule deps` must produce a report list identical (modulo
-/// wall-clock timings) to round-robin, and the deps report itself must be
-/// thread-count invariant at 1, 2 and 8 workers — whole-batch stealing
-/// may move work between threads, never change it.
+/// The cold oracle for the batched sweep: each family simulated alone by
+/// [`Verifier::simulate`] on a fresh manager — no shared base, no warm
+/// predecessor, no batch. Every report of a sweep at 1, 2 and 8 threads
+/// must match it: scope, fragile set (`min_failures_to_falsify <= k`),
+/// prune stats and peak condition size. Warm chaining and whole-batch
+/// stealing may change the work, never the answer.
 #[test]
-fn deps_schedule_matches_roundrobin_and_is_thread_invariant() {
+fn sweep_matches_cold_oracle_at_any_thread_count() {
+    const K: u32 = 1;
     let wan = batchy_wan();
     let verifier = Verifier::new(wan.configs, VsbProfile::ground_truth, Some(1)).unwrap();
-    let rr = verifier.verify_all_routes(1, 1).unwrap();
-    assert!(!rr.reports.is_empty());
-    let opts = SweepOptions {
-        schedule: SweepSchedule::Deps,
-        ..SweepOptions::default()
-    };
+    let mut oracle = Vec::new();
+    for fam in verifier.families() {
+        let mut sim = verifier.simulate(fam[0], Some(K)).unwrap();
+        for &p in &fam {
+            let (mut scope, mut fragile) = (Vec::new(), Vec::new());
+            for n in verifier.net.topology.nodes() {
+                let v = sim.reach_cond(n, p);
+                if !sim.mgr.eval(v, &[]) {
+                    continue;
+                }
+                scope.push(n);
+                if sim.mgr.min_failures_to_falsify(v) <= K {
+                    fragile.push(n);
+                }
+            }
+            oracle.push((p, scope, fragile, sim.stats, sim.max_cond_size));
+        }
+    }
+    oracle.sort_by_key(|o| o.0);
+    assert!(oracle.iter().any(|o| !o.2.is_empty()), "fixture must have fragile prefixes");
     for threads in [1usize, 2, 8] {
-        let deps = verifier.verify_all_routes_opts(1, threads, &opts).unwrap();
-        assert_reports_equal(
-            &rr.reports,
-            &deps.reports,
-            &format!("roundrobin vs deps, threads={threads}"),
-        );
-        assert_eq!(rr.quarantined, deps.quarantined, "threads={threads}");
+        let swept = verifier.verify_all_routes(K, threads).unwrap();
+        assert!(swept.quarantined.is_empty(), "threads={threads}");
+        assert_eq!(swept.reports.len(), oracle.len(), "threads={threads}");
+        for (r, want) in swept.reports.iter().zip(&oracle) {
+            let got = (r.prefix, r.scope.clone(), r.fragile.clone(), r.stats, r.max_cond_len);
+            assert_eq!(&got, want, "threads={threads}: report for {} differs", r.prefix);
+        }
     }
 }
 
 /// The streaming sink must see exactly the families the materialized sweep
-/// reports — same verdicts, same costs in aggregate, every family index
-/// exactly once — under both schedules, at 1, 2 and 8 threads.
+/// reports — same verdicts, every family index exactly once — at 1, 2 and
+/// 8 threads.
 #[test]
 fn streaming_sweep_matches_materialized() {
     let wan = batchy_wan();
     let verifier = Verifier::new(wan.configs, VsbProfile::ground_truth, Some(1)).unwrap();
     let materialized = verifier.verify_all_routes(1, 2).unwrap();
-    let runs = [SweepSchedule::RoundRobin, SweepSchedule::Deps]
-        .into_iter()
-        .flat_map(|schedule| [1usize, 2, 8].map(|threads| (schedule, threads)));
-    for (schedule, threads) in runs {
-        let opts = SweepOptions {
-            schedule,
-            ..SweepOptions::default()
-        };
+    let opts = SweepOptions::default();
+    for threads in [1usize, 2, 8] {
         let mut reports: Vec<PrefixReport> = Vec::new();
         let mut indices: Vec<usize> = Vec::new();
         let mut quarantined = 0usize;
@@ -234,7 +242,7 @@ fn streaming_sweep_matches_materialized() {
         assert_reports_equal(
             &materialized.reports,
             &reports,
-            &format!("streaming vs materialized ({schedule:?}, threads={threads})"),
+            &format!("streaming vs materialized (threads={threads})"),
         );
     }
 }

@@ -14,7 +14,8 @@ use std::sync::Mutex;
 
 use hoyan::config::ConfigSnapshot;
 use hoyan::core::{
-    DirtyReason, FamilyBudget, FamilyOutcome, PrefixReport, SimError, SweepOptions, Verifier,
+    DirtyReason, FamilyBudget, FamilyOutcome, PrefixReport, SimError, StreamedFamily, SweepOptions,
+    Verifier,
 };
 use hoyan::device::VsbProfile;
 use hoyan::rt::fault::{self, FaultKind, FaultPlan};
@@ -27,6 +28,22 @@ const K: u32 = 1;
 
 fn verifier() -> Verifier {
     let wan = WanSpec::tiny(9).build();
+    Verifier::new(wan.configs, VsbProfile::ground_truth, Some(3)).unwrap()
+}
+
+/// A multi-region fixture whose sweep plans several multi-family batches,
+/// so warm chaining and whole-batch stealing are both in play.
+fn batchy_verifier() -> Verifier {
+    let wan = WanSpec {
+        seed: 42,
+        regions: 3,
+        pes_per_region: 4,
+        mans_per_region: 2,
+        prefixes_per_pe: 2,
+        extra_core_links: 2,
+        block_prefixes: 1,
+    }
+    .build();
     Verifier::new(wan.configs, VsbProfile::ground_truth, Some(3)).unwrap()
 }
 
@@ -105,6 +122,11 @@ fn quarantine_is_thread_count_invariant() {
     );
 }
 
+/// Fail-fast surfaces the lowest failing family index at any thread
+/// count. Family 0 heads batch 0 (home: worker 0); the second failure
+/// heads batch 1, homed on worker 1 whenever there are two or more
+/// workers — so the higher index usually fails first, and the sweep must
+/// still run family 0 and report it.
 #[test]
 fn fail_fast_surfaces_the_lowest_failing_index() {
     let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
@@ -112,21 +134,25 @@ fn fail_fast_surfaces_the_lowest_failing_index() {
         fail_fast: true,
         ..SweepOptions::default()
     };
-    // Two planted failures: whichever worker trips first, the surfaced
-    // error must belong to family 0 — at any thread count.
-    fault::install(FaultPlan::new().at("verify.family", &[0, 1], FaultKind::Error));
-    for threads in [1usize, 8] {
-        let err = verifier()
-            .verify_all_routes_opts(K, threads, &opts)
-            .unwrap_err();
-        match err {
-            SimError::Injected { site, index } => {
-                assert_eq!((site, index), ("verify.family", 0), "threads={threads}");
+    let v = batchy_verifier();
+    let batches = v.plan_batches(&v.families());
+    assert!(batches.len() >= 3, "fixture must plan several batches");
+    assert_eq!(batches[0][0], 0, "family 0 heads the first batch");
+    let other = batches[1][0];
+    fault::install(FaultPlan::new().at("verify.family", &[0, other as u64], FaultKind::Error));
+    for threads in [1usize, 2, 8] {
+        for run in 0..10 {
+            match v.verify_all_routes_opts(K, threads, &opts).unwrap_err() {
+                SimError::Injected { site, index } => assert_eq!(
+                    (site, index),
+                    ("verify.family", 0),
+                    "threads={threads}, run {run}"
+                ),
+                other => panic!("expected the injected error, got {other}"),
             }
-            other => panic!("expected the injected error, got {other}"),
         }
     }
-    // A single late failure aborts too (today's pre-quarantine behavior).
+    // A single late failure aborts too (the pre-quarantine behavior).
     fault::install(FaultPlan::new().at("verify.family", &[2], FaultKind::Error));
     let err = verifier().verify_all_routes_opts(K, 2, &opts).unwrap_err();
     assert!(matches!(err, SimError::Injected { index: 2, .. }), "{err}");
@@ -153,43 +179,62 @@ fn fail_fast_resumes_a_worker_panic() {
     assert!(msg.contains("injected fault: panic"), "payload: {msg}");
 }
 
+/// Op caps quarantine the same families, with the same counter deltas,
+/// at 1, 2 and 8 threads. A cap of 1 trips every family whatever its
+/// warmth; a mid-range cap — the median of the families' unbudgeted op
+/// bills — trips some but not all, and which ones depends on each
+/// family's own ops after its warm predecessors in the batch.
 #[test]
 fn op_budget_quarantines_deterministically() {
     let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     fault::clear();
-    // An absurdly small op cap: every family blows it, through the same
-    // operation-counted check the injected OverBudget fault uses.
-    let opts = SweepOptions {
-        fail_fast: false,
-        budget: FamilyBudget {
-            max_ite_ops: Some(1),
-            ..FamilyBudget::default()
-        },
-        ..SweepOptions::default()
-    };
-    let mut snapshots = Vec::new();
-    for threads in [1usize, 8] {
-        let v = verifier();
-        let n = v.families().len();
-        let before = hoyan::obs::counter_values();
-        let swept = v.verify_all_routes_opts(K, threads, &opts).unwrap();
-        let deltas = counter_deltas(&before, &hoyan::obs::counter_values());
-        assert_eq!(swept.quarantined.len(), n, "threads={threads}");
-        assert!(swept.reports.is_empty());
-        assert!(swept
-            .quarantined
-            .iter()
-            .all(|q| matches!(q.outcome, FamilyOutcome::OverBudget { .. })));
-        assert_eq!(deltas["verify.families_over_budget"], n as u64);
-        assert_eq!(deltas["verify.families_quarantined"], n as u64);
-        let q: Vec<String> = swept
-            .quarantined
-            .iter()
-            .map(|q| format!("{}:{:?}:{}", q.index, q.prefixes, q.outcome))
-            .collect();
-        snapshots.push((q, deltas));
+    let v = batchy_verifier();
+    let n = v.families().len();
+    let mut ops = Vec::new();
+    v.verify_all_routes_streaming(K, 1, &SweepOptions::default(), &mut |item| {
+        if let StreamedFamily::Done { cost, .. } = item {
+            ops.push(cost.ops);
+        }
+    })
+    .unwrap();
+    ops.sort_unstable();
+    let median = ops[ops.len() / 2];
+    for cap in [1, median] {
+        let opts = SweepOptions {
+            budget: FamilyBudget {
+                max_ite_ops: Some(cap),
+                ..FamilyBudget::default()
+            },
+            ..SweepOptions::default()
+        };
+        let mut snapshots = Vec::new();
+        for threads in [1usize, 2, 8] {
+            let before = hoyan::obs::counter_values();
+            let swept = v.verify_all_routes_opts(K, threads, &opts).unwrap();
+            let deltas = counter_deltas(&before, &hoyan::obs::counter_values());
+            let tripped = swept.quarantined.len();
+            if cap == 1 {
+                assert_eq!(tripped, n, "threads={threads}");
+                assert!(swept.reports.is_empty());
+            } else {
+                assert!(0 < tripped && tripped < n, "cap {cap}: {tripped} of {n} tripped");
+            }
+            assert!(swept
+                .quarantined
+                .iter()
+                .all(|q| matches!(q.outcome, FamilyOutcome::OverBudget { .. })));
+            assert_eq!(deltas["verify.families_over_budget"], tripped as u64);
+            assert_eq!(deltas["verify.families_quarantined"], tripped as u64);
+            let q: Vec<String> = swept
+                .quarantined
+                .iter()
+                .map(|q| format!("{}:{:?}:{}", q.index, q.prefixes, q.outcome))
+                .collect();
+            snapshots.push((q, deltas));
+        }
+        assert_eq!(snapshots[0], snapshots[1], "cap {cap}: threads=1 vs 2");
+        assert_eq!(snapshots[0], snapshots[2], "cap {cap}: threads=1 vs 8");
     }
-    assert_eq!(snapshots[0], snapshots[1]);
 }
 
 #[test]
@@ -369,6 +414,31 @@ fn abstract_fault_reverify_retries_on_exact_path() {
         }
     }
     assert!(outcome.reports.iter().any(|r| retried.contains(&r.prefix)));
+}
+
+/// A modular `reverify` reports provenance for every family, by
+/// classification index: the replayed families' from the cache and the
+/// retried family's from this run — together equal to a fresh modular
+/// sweep's.
+#[test]
+fn modular_reverify_provenance_matches_a_fresh_sweep() {
+    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let wan = WanSpec::tiny(9).build();
+    let snap = ConfigSnapshot::new(wan.configs.clone());
+    let opts = SweepOptions {
+        modular: true,
+        ..SweepOptions::default()
+    };
+    fault::install(FaultPlan::new().at("verify.abstract", &[1], FaultKind::Error));
+    let v = Verifier::new(wan.configs.clone(), VsbProfile::ground_truth, Some(3)).unwrap();
+    let (base, cache) = v.verify_all_routes_cached_opts(K, 2, &opts).unwrap();
+    fault::clear();
+    assert_eq!(base.quarantined.len(), 1);
+    let outcome = v.reverify_opts(&snap.diff(&snap), &cache, K, 2, &opts).unwrap();
+    assert_eq!(outcome.recomputed, 1, "exactly the quarantined family");
+    let fresh = v.verify_all_routes_opts(K, 2, &opts).unwrap();
+    assert_eq!(fresh.provenance.len(), v.families().len());
+    assert_eq!(outcome.provenance, fresh.provenance);
 }
 
 /// Regression: a family classified *clean* whose cache entry has drifted

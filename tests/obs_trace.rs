@@ -141,8 +141,15 @@ fn reverify_attributes_reused_families_at_zero_marginal_cost() {
     let costs = hoyan::obs::unit_costs();
     assert_eq!(costs.len(), outcome.reused);
     // Reused families carry their baseline bill for visibility, flagged so
-    // the attribution footer does not count them against this window.
-    assert!(costs.iter().all(|c| c.reused && c.ops > 0));
+    // the attribution footer does not count them against this window. A
+    // family warm-chained on its batch predecessor may bill zero ops of
+    // its own, so the bill is checked against the cache, entry by entry.
+    assert!(costs.iter().all(|c| c.reused));
+    for c in &costs {
+        let fam = &outcome.classifications[c.unit as usize].0;
+        assert_eq!(c.ops, cache.get(fam).expect("cached").cost.ops, "{}", c.label);
+    }
+    assert!(costs.iter().any(|c| c.ops > 0));
     let reuse_events = hoyan::obs::events_snapshot()
         .iter()
         .filter(|e| matches!(e.kind, hoyan::obs::EventKind::CacheReuse))
